@@ -123,13 +123,29 @@ def cmd_color(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_certificate(path: str) -> Coloring:
+    """Load a certificate file; malformed content raises BadInput."""
+    keys = ("n", "r", "s", "method", "palette_bound", "labels")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise BadInput(f"{path} is not a JSON certificate: {exc}") from None
+    if not isinstance(data, dict) or any(key not in data for key in keys):
+        raise BadInput(f"a certificate needs the keys {', '.join(keys)}")
+    n, r, s, method, palette_bound, labels = (data[key] for key in keys)
+    if any(type(x) is not int for x in (n, r, s, palette_bound)) or type(labels) is not list:
+        raise BadInput("n, r, s and palette_bound must be integers and labels a list")
+    try:
+        method = Method(method)
+    except ValueError:
+        raise BadInput(f"unknown method {method!r}") from None
+    return Coloring(GraphSpec(n, r, s), tuple(labels), method, palette_bound)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.certificate, encoding="utf-8") as fh:
-        data = json.load(fh)
-    spec = GraphSpec(data["n"], data["r"], data["s"])
-    coloring = Coloring(
-        spec, tuple(data["labels"]), Method(data["method"]), data["palette_bound"]
-    )
+    coloring = _read_certificate(args.certificate)
+    spec = coloring.spec
     violation = verify_proper(spec, coloring)
     if violation is not None:
         _emit(
@@ -176,8 +192,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
     base = CHI_LIMITS if args.which == "chi" else ALPHA_LIMITS
     limits = SolveLimits(
         max_vertices=base.max_vertices,
-        max_nodes=args.max_nodes if args.max_nodes else base.max_nodes,
-        time_budget=args.time_budget if args.time_budget else base.time_budget,
+        max_nodes=base.max_nodes if args.max_nodes is None else args.max_nodes,
+        time_budget=base.time_budget if args.time_budget is None else args.time_budget,
     )
     count = vertex_count(spec)
     if count > limits.max_vertices:

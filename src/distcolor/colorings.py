@@ -11,26 +11,29 @@ Four construction families:
 - ``symmetric``: G(n, r, s) for prime n in n^(r-s) colors, label = the
   first r - s elementary symmetric polynomial values mod n, packed base n.
 
-``verify_proper`` checks any coloring edge by edge using only the
-adjacency predicate and the label array, so it is independent of every
-construction above.
+``verify_proper`` checks any coloring from the graph's structure and the
+label array alone, so it is independent of every construction above. For
+s = r - 1 it checks that each star (the vertices through one (r-1)-core,
+a clique) has distinct labels; otherwise it tests the pairs inside each
+label class, the only pairs that can be monochromatic edges.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 
-from .distgraph import GraphSpec, RSubset, edges, is_edge, vertex_count, vertices
-from .errors import BadInput, IncompleteColoring, InvalidPrime, NotPrime, OddCycle, UnsupportedN
+# edges is unused here; perfbench/spans.py rebinds it when it traces a run.
+from .distgraph import MAX_ENUMERATION_VERTICES, GraphSpec, RSubset, edges, is_edge, unrank
+from .distgraph import vertex_count, vertices
+from .errors import BadInput, IncompleteColoring, InternalContradiction, InvalidPrime, NotPrime
+from .errors import OddCycle, TooLarge, UnsupportedN
 from .gf import bose_chowla_set
 from .numtheory import check_t1_condition, is_prime, mod_inverse
-
-# verify_proper scans all vertex pairs up to this many vertices; beyond
-# that it walks the edge stream (same deterministic order either way).
-PAIRWISE_VERIFY_MAX = 2000
 
 
 class Method(str, Enum):
@@ -56,7 +59,7 @@ class Coloring:
             raise IncompleteColoring(
                 f"{len(self.labels)} labels for {vertex_count(self.spec)} vertices"
             )
-        if any(not isinstance(c, int) or not 0 <= c < self.palette_bound for c in self.labels):
+        if any(type(c) is not int or not 0 <= c < self.palette_bound for c in self.labels):
             raise BadInput(f"labels must be integers in [0, {self.palette_bound})")
 
     @property
@@ -326,28 +329,80 @@ def color_bose_chowla(n: int, r: int, s: int) -> Coloring:
     return Coloring(spec, labels, Method.BOSE_CHOWLA, modulus)
 
 
-def verify_proper(spec: GraphSpec, coloring: Coloring) -> Violation | None:
-    """Return the first monochromatic edge, or None when proper.
+def _first_star_conflict(spec: GraphSpec, labels: tuple[int, ...]) -> tuple[int, int] | None:
+    """Smallest same-label (rank, rank) pair inside a star, for s = r - 1.
 
-    Scans vertex pairs in ascending (rank, rank) order; every reported
-    pair is re-checked with the adjacency predicate, so the verdict rests
-    only on is_edge and the label array.
+    The star of an (r-1)-core holds the core plus one outside element x;
+    its members pairwise share the core, and every edge lies in the star
+    of its ends' intersection. Member ranks ascend with x.
+    """
+    n, r = spec.n, spec.r
+    binom = [[math.comb(x, j) for x in range(n)] for j in range(r + 1)]
+    best = None
+    for core in combinations(range(n), r - 1):
+        # colex rank of core + {x}: x sits at position i, the number of core
+        # elements below it, and the core elements above it move up one
+        i, below, above = 0, 0, sum(binom[j + 2][c] for j, c in enumerate(core))
+        ranks: list[int] = []
+        for x in range(n):
+            if i < r - 1 and x == core[i]:
+                below += binom[i + 1][x]
+                above -= binom[i + 2][x]
+                i += 1
+            else:
+                ranks.append(below + binom[i + 1][x] + above)
+        star = [labels[k] for k in ranks]
+        if len(set(star)) < len(star):
+            first: dict[int, int] = {}
+            for k, c in zip(ranks, star):
+                j = first.setdefault(c, k)
+                if j != k and (best is None or (j, k) < best):
+                    best = (j, k)
+    return best
+
+
+def _first_class_conflict(spec: GraphSpec, labels: tuple[int, ...]) -> tuple[int, int] | None:
+    """Smallest adjacent (rank, rank) pair inside one label class.
+
+    Members ascend, so a class stops at its first adjacent pair, or at a
+    low end above the best low end found so far.
+    """
+    masks = [sum(1 << x for x in v) for v in vertices(spec)]
+    classes: dict[int, list[int]] = defaultdict(list)
+    for k, c in enumerate(labels):
+        classes[c].append(k)
+    best = None
+    for members in classes.values():
+        for i, a in enumerate(members):
+            if best is not None and a > best[0]:
+                break
+            adjacent = (b for b in members[i + 1 :] if (masks[a] & masks[b]).bit_count() == spec.s)
+            b = next(adjacent, None)
+            if b is not None:
+                best = (a, b)
+                break
+    return best
+
+
+def verify_proper(spec: GraphSpec, coloring: Coloring) -> Violation | None:
+    """Return the first monochromatic edge, the smallest (rank, rank) pair, or None.
+
+    For s = r - 1 every star over an (r-1)-core is a clique and the stars
+    cover every edge, so each star must have distinct labels (V * r label
+    lookups). Otherwise only pairs inside a label class can conflict, and
+    those are tested (at most alpha * V pairs when proper). A reported
+    pair is re-checked with is_edge and the labels before it is returned.
     """
     if coloring.spec != spec:
         raise BadInput(f"coloring is for {coloring.spec}, not {spec}")
-    count = vertex_count(spec)
-    if len(coloring.labels) != count:
-        raise IncompleteColoring(f"{len(coloring.labels)} labels for {count} vertices")
-    verts = vertices(spec)
+    if vertex_count(spec) > MAX_ENUMERATION_VERTICES:
+        raise TooLarge(f"{vertex_count(spec)} vertices exceeds the enumeration cap")
     labels = coloring.labels
-    if count <= PAIRWISE_VERIFY_MAX:
-        for a in range(count):
-            la, va = labels[a], verts[a]
-            for b in range(a + 1, count):
-                if la == labels[b] and is_edge(spec, va, verts[b]):
-                    return Violation(va, verts[b], la)
+    find = _first_star_conflict if spec.s == spec.r - 1 else _first_class_conflict
+    pair = find(spec, labels)
+    if pair is None:
         return None
-    for a, b in edges(spec):
-        if labels[a] == labels[b] and is_edge(spec, verts[a], verts[b]):
-            return Violation(verts[a], verts[b], labels[a])
-    return None
+    u, v = unrank(spec, pair[0]), unrank(spec, pair[1])
+    if labels[pair[0]] != labels[pair[1]] or not is_edge(spec, u, v):
+        raise InternalContradiction(f"verifier reported {u} and {v}, which do not conflict")
+    return Violation(u, v, labels[pair[0]])

@@ -110,8 +110,7 @@ def neighbors(spec: GraphSpec, v: RSubset) -> list[RSubset]:
 def edges(spec: GraphSpec) -> Iterator[tuple[int, int]]:
     """Stream every unordered edge once as a (rank, rank) pair.
 
-    Pairs come in ascending lexicographic order of (low rank, high rank),
-    which callers rely on for deterministic first-violation reports.
+    Pairs come in ascending lexicographic order of (low rank, high rank).
     """
     count = vertex_count(spec)
     if count > MAX_ENUMERATION_VERTICES:

@@ -69,6 +69,28 @@ def test_verify_rejects_tampered_certificate(capsys, tmp_path):
     assert out.startswith("improper")
 
 
+CERT = {"n": 4, "r": 2, "s": 1, "method": "sum", "palette_bound": 4, "labels": [0, 1, 2, 2, 3, 0]}
+
+
+MALFORMED = {
+    "invalid-json": '{"n": 4,',
+    **{f"missing-{key}": json.dumps({k: v for k, v in CERT.items() if k != key}) for key in CERT},
+    "unknown-method": json.dumps({**CERT, "method": "greedy"}),
+    "float-n": json.dumps({**CERT, "n": 4.0}),
+    "boolean-labels": json.dumps({**CERT, "labels": [True] * 6}),
+    "not-an-object": json.dumps([CERT]),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_verify_rejects_malformed_certificate(capsys, tmp_path, text):
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 9 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bounds_json(capsys):
     code, out, _ = run(capsys, "bounds", "-n", "9", "-r", "3", "-s", "2")
     assert code == 0
@@ -110,6 +132,13 @@ def test_exact_exhausted_is_success(capsys):
     assert code == 0
     data = json.loads(out)
     assert "exhausted" in data and data["exhausted"]["lower"] <= data["exhausted"]["upper"]
+
+
+@pytest.mark.parametrize("budget", ["--max-nodes", "--time-budget"])
+def test_exact_rejects_zero_budget(capsys, budget):
+    code, out, err = run(capsys, "exact", "chi", "-n", "5", "-r", "3", "-s", "2", budget, "0")
+    assert code == 9 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_scan_condition(capsys):

@@ -1,6 +1,10 @@
 """Tests for circles, the pair functions, and all four colorings."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distcolor.colorings import (
     Circle,
@@ -17,7 +21,7 @@ from distcolor.colorings import (
     f_select,
     verify_proper,
 )
-from distcolor.distgraph import GraphSpec, is_edge, rank, vertex_count, vertices
+from distcolor.distgraph import GraphSpec, is_edge, neighbors, rank, vertex_count, vertices
 from distcolor.errors import (
     BadInput,
     IncompleteColoring,
@@ -258,6 +262,11 @@ def test_coloring_validation():
         Coloring(spec, (0, 0, 0), Method.SUM_MOD_N, 4)
     with pytest.raises(BadInput):
         Coloring(spec, (0,) * 5 + (9,), Method.SUM_MOD_N, 4)
+    # JSON true/false are not colors, alone or among valid labels
+    with pytest.raises(BadInput):
+        Coloring(spec, (True,) * 6, Method.SUM_MOD_N, 4)
+    with pytest.raises(BadInput):
+        Coloring(spec, (0, 1, 2, 3, 0, True), Method.SUM_MOD_N, 4)
 
 
 def test_verify_proper_finds_first_violation():
@@ -284,14 +293,83 @@ def test_verify_proper_spec_mismatch():
         verify_proper(GraphSpec(6, 3, 2), col)
 
 
-def test_verify_proper_stream_branch():
-    # C(25, 3) = 2300 vertices forces the edge-stream path
+def pairwise_first_violation(spec, labels):
+    """Brute-force oracle: the first adjacent same-label pair in (rank, rank) order."""
+    verts = vertices(spec)
+    return next(
+        (
+            Violation(verts[a], verts[b], labels[a])
+            for a in range(len(verts))
+            for b in range(a + 1, len(verts))
+            if labels[a] == labels[b] and is_edge(spec, verts[a], verts[b])
+        ),
+        None,
+    )
+
+
+def constructions(spec):
+    """Every construction that builds a coloring of spec."""
+    n, r, s = spec.n, spec.r, spec.s
+    if s == r - 1:
+        yield color_sum(n, r)
+    if (r, s) == (3, 2):
+        try:
+            yield color_theorem1(n)
+        except UnsupportedN:
+            pass
+    # larger GF(n^(r-s)) builds only cost time: every such spec has V <= 7
+    if n in (2, 3, 5, 7) and n ** (r - s) <= 7**5:
+        yield color_symmetric(n, r, s)
+        yield color_bose_chowla(n, r, s)
+
+
+def test_verify_proper_matches_pairwise_oracle():
+    for n in range(1, 10):
+        for r in range(1, n + 1):
+            for s in range(r):
+                spec = GraphSpec(n, r, s)
+                count = vertex_count(spec)
+                rng = random.Random(100 * n + 10 * r + s)
+                identity = Coloring(spec, tuple(range(count)), Method.SUM_MOD_N, count)
+                two_color = tuple(rng.randrange(2) for _ in range(count))
+                cases = [
+                    Coloring(spec, (0,) * count, Method.SUM_MOD_N, 1),
+                    Coloring(spec, two_color, Method.SUM_MOD_N, 2),
+                ]
+                for proper in [identity, *constructions(spec)]:
+                    assert verify_proper(spec, proper) is None
+                    late = count - 1 - rng.randrange(min(count, 8))
+                    nbrs = neighbors(spec, vertices(spec)[late])
+                    if nbrs:
+                        labels = list(proper.labels)
+                        labels[late] = labels[rank(spec, rng.choice(nbrs))]
+                        bound = proper.palette_bound
+                        cases.append(Coloring(spec, tuple(labels), proper.method, bound))
+                for col in cases:
+                    assert verify_proper(spec, col) == pairwise_first_violation(spec, col.labels)
+    # a larger s = r - 1 spec: C(25, 3) = 2300 vertices
     col = color_sum(25, 3)
-    assert vertex_count(col.spec) > 2000
     assert verify_proper(col.spec, col) is None
-    bad = Coloring(col.spec, (0,) * 2300, Method.SUM_MOD_N, 1)
-    violation = verify_proper(col.spec, bad)
-    assert violation is not None and is_edge(col.spec, violation.u, violation.v)
+    constant = (0,) * vertex_count(col.spec)
+    violation = verify_proper(col.spec, Coloring(col.spec, constant, Method.SUM_MOD_N, 1))
+    assert violation == pairwise_first_violation(col.spec, constant)
+    assert is_edge(col.spec, violation.u, violation.v)
+
+
+@st.composite
+def small_colorings(draw):
+    n = draw(st.integers(1, 10))
+    r = draw(st.integers(1, n))
+    spec = GraphSpec(n, r, draw(st.integers(0, r - 1)))  # at most C(10, 5) = 252 vertices
+    colors, count = draw(st.integers(1, 4)), vertex_count(spec)
+    labels = draw(st.lists(st.integers(0, colors - 1), min_size=count, max_size=count))
+    return Coloring(spec, tuple(labels), Method.SUM_MOD_N, colors)
+
+
+@settings(deadline=None)
+@given(small_colorings())
+def test_verify_proper_property_matches_pairwise_oracle(col):
+    assert verify_proper(col.spec, col) == pairwise_first_violation(col.spec, col.labels)
 
 
 def test_palette_identity_all_methods():
