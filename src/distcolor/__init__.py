@@ -23,6 +23,7 @@ from .colorings import (
     Coloring,
     Method,
     Violation,
+    best_construction,
     bipartition_circles,
     circle,
     circle_graph,
@@ -36,6 +37,7 @@ from .colorings import (
 from .distgraph import (
     GraphSpec,
     RSubset,
+    canonical,
     degree,
     edge_count,
     edges,
@@ -65,6 +67,7 @@ from .numtheory import (
     multiplicative_order,
     next_prime,
     primes_in_class,
+    theorem1_prime,
 )
 
 __version__ = "0.1.0"

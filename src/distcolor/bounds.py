@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 from .distgraph import GraphSpec
 from .errors import InternalContradiction, OutOfValidity
-from .numtheory import check_t1_condition, is_prime, next_prime
+# check_t1_condition is unused here; perfbench/spans.py rebinds it when it traces a run.
+from .numtheory import check_t1_condition, is_prime, next_prime, theorem1_prime
 
 
 class Bound(NamedTuple):
@@ -121,10 +122,9 @@ def aggregate(n: int, r: int, s: int) -> BoundsReport:
             # degenerate r: the star through any (r-1)-set is a clique
             lower.append(Bound(n - r + 1, "ineq1"))
         upper.append(Bound(n, "thm2A"))
-        if r == 3:
-            for p in (n - 2, n - 1):
-                if p > 3 and is_prime(p) and check_t1_condition(p).condition_holds:
-                    upper.append(Bound(p, "thm1"))
+        p = theorem1_prime(n) if r == 3 else None
+        if p is not None:
+            upper.append(Bound(p, "thm1"))
     else:
         # clique: one s-core plus floor((n-s)/(r-s)) pairwise disjoint blocks
         lower.append(Bound((n - s) // (r - s), "ineq1"))

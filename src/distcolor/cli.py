@@ -18,6 +18,7 @@ from .bounds import BoundsReport, aggregate
 from .colorings import (
     Coloring,
     Method,
+    best_construction,
     bipartition_circles,
     circle_graph,
     color_bose_chowla,
@@ -26,7 +27,7 @@ from .colorings import (
     color_theorem1,
     verify_proper,
 )
-from .distgraph import GraphSpec, vertex_count
+from .distgraph import GraphSpec, canonical, vertex_count
 from .errors import BadInput, Error, TooLarge
 from .exact import (
     ALPHA_LIMITS,
@@ -201,9 +202,14 @@ def cmd_exact(args: argparse.Namespace) -> int:
             f"G({args.n}, {args.r}, {args.s}) has {count} vertices, "
             f"over the {args.which} cap {limits.max_vertices}"
         )
+    # an isomorphic spec; chi and alpha, the only things reported, agree
+    spec = canonical(spec)
     graph = AdjacencyMatrix.from_graph_spec(spec)
-    solve = exact_chromatic_number if args.which == "chi" else exact_independence_number
-    result = solve(graph, limits)
+    if args.which == "chi":
+        seed = best_construction(spec)
+        result = exact_chromatic_number(graph, limits, None if seed is None else seed.labels)
+    else:
+        result = exact_independence_number(graph, limits)
     payload: dict = {"which": args.which, "n": args.n, "r": args.r, "s": args.s}
     if isinstance(result, Exhausted):
         payload["exhausted"] = {"lower": result.lower, "upper": result.upper}

@@ -22,18 +22,19 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
 
-# edges is unused here; perfbench/spans.py rebinds it when it traces a run.
+# edges and check_t1_condition are unused here; perfbench/spans.py rebinds
+# them when it traces a run.
 from .distgraph import MAX_ENUMERATION_VERTICES, GraphSpec, RSubset, edges, is_edge, unrank
 from .distgraph import vertex_count, vertices
 from .errors import BadInput, IncompleteColoring, InternalContradiction, InvalidPrime, NotPrime
 from .errors import OddCycle, TooLarge, UnsupportedN
 from .gf import bose_chowla_set
-from .numtheory import check_t1_condition, is_prime, mod_inverse
+from .numtheory import check_t1_condition, is_prime, mod_inverse, theorem1_prime
 
 
 class Method(str, Enum):
@@ -236,10 +237,8 @@ def color_theorem1(n: int) -> Coloring:
     The n = p + 1 case is the p + 2 coloring restricted to triples that
     avoid the largest ground element, so no relabeling is needed.
     """
-    for p in (n - 2, n - 1):
-        if p > 3 and is_prime(p) and check_t1_condition(p).condition_holds:
-            break
-    else:
+    p = theorem1_prime(n)
+    if p is None:
         raise UnsupportedN(f"no qualifying prime at n - 2 or n - 1 for n = {n}")
     bip = bipartition_circles(p)
     spec = GraphSpec(n, 3, 2)
@@ -327,6 +326,34 @@ def color_bose_chowla(n: int, r: int, s: int) -> Coloring:
         modulus = bh.modulus
     labels = tuple(sum(weights[x] for x in v) % modulus for v in vertices(spec))
     return Coloring(spec, labels, Method.BOSE_CHOWLA, modulus)
+
+
+def best_construction(spec: GraphSpec) -> Coloring | None:
+    """The construction with the smallest palette bound below V, or None.
+
+    Candidates are theorem1 (G(n, 3, 2) with a qualifying prime), sum
+    (s = r - 1) and bose-chowla (prime n); symmetric never beats
+    bose-chowla. Palette bounds are compared before anything is built,
+    ties go to the earlier candidate in that order, and a candidate whose
+    bound is not below the vertex count is skipped. Labels are renumbered
+    0..k-1 in order of first appearance; the palette bound is kept.
+    """
+    n, r, s = spec.n, spec.r, spec.s
+    candidates = []
+    p = theorem1_prime(n) if (r, s) == (3, 2) else None
+    if p is not None:
+        candidates.append((p, lambda: color_theorem1(n)))
+    if s == r - 1:
+        candidates.append((n, lambda: color_sum(n, r)))
+    if is_prime(n):
+        bound = n if r - s == 1 else n ** (r - s) - 1
+        candidates.append((bound, lambda: color_bose_chowla(n, r, s)))
+    candidates = [c for c in candidates if c[0] < vertex_count(spec)]
+    if not candidates:
+        return None
+    coloring = min(candidates, key=lambda c: c[0])[1]()
+    first: dict[int, int] = {}
+    return replace(coloring, labels=tuple(first.setdefault(c, len(first)) for c in coloring.labels))
 
 
 def _first_star_conflict(spec: GraphSpec, labels: tuple[int, ...]) -> tuple[int, int] | None:

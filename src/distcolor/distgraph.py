@@ -34,6 +34,19 @@ class GraphSpec:
             raise BadInput(f"need 0 <= s < r <= n, got (n={self.n}, r={self.r}, s={self.s})")
 
 
+def canonical(spec: GraphSpec) -> GraphSpec:
+    """G(n, n - r, n - 2r + s) when r > n - r and that spec exists, else spec.
+
+    Complementing every r-set maps G(n, r, s) isomorphically onto
+    G(n, n - r, n - 2r + s). When n - 2r + s < 0 no two r-sets share
+    exactly s elements, the graph has no edges, and spec is kept.
+    """
+    n, r, s = spec.n, spec.r, spec.s
+    if r > n - r and n - 2 * r + s >= 0:
+        return GraphSpec(n, n - r, n - 2 * r + s)
+    return spec
+
+
 def vertex_count(spec: GraphSpec) -> int:
     """Number of vertices, C(n, r)."""
     return math.comb(spec.n, spec.r)
@@ -100,8 +113,10 @@ def neighbors(spec: GraphSpec, v: RSubset) -> list[RSubset]:
     inside = set(v)
     outside = [x for x in range(spec.n) if x not in inside]
     out = []
-    for keep in combinations(v, spec.s):
-        for new in combinations(outside, spec.r - spec.s):
+    # new elements outermost: when fewer than r - s lie outside v there
+    # are none, and the C(r, s) cores are never enumerated
+    for new in combinations(outside, spec.r - spec.s):
+        for keep in combinations(v, spec.s):
             out.append(tuple(sorted(keep + new)))
     out.sort(key=lambda t: t[::-1])
     return out

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 from .distgraph import GraphSpec, edges, vertex_count
-from .errors import BadInput, TooLarge
+from .errors import BadInput, InternalContradiction, TooLarge
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,9 @@ def _greedy_clique(g: AdjacencyMatrix) -> list[int]:
 
 
 def exact_chromatic_number(
-    g: AdjacencyMatrix, limits: SolveLimits | None = None
+    g: AdjacencyMatrix,
+    limits: SolveLimits | None = None,
+    initial: Sequence[int] | None = None,
 ) -> int | Exhausted:
     """Exact chi(g) by DSATUR branch and bound.
 
@@ -154,6 +157,10 @@ def exact_chromatic_number(
     where alpha comes from a node-capped independence probe. Search
     exhaustion below the incumbent proves optimality. Deterministic
     whenever the budgets are not hit.
+
+    ``initial``, a color per vertex in 0..k-1, is re-checked and replaces
+    the DSATUR incumbent when k is smaller; it only ever lowers the upper
+    side. BadInput when its length is wrong or it is not proper.
     """
     limits = limits or CHI_LIMITS
     if g.order > limits.max_vertices:
@@ -167,6 +174,13 @@ def exact_chromatic_number(
     greedy = _dsatur_assignment(g)
     best = max(greedy) + 1
     best_assign = greedy[:]
+    if initial is not None:
+        seed = list(initial)
+        k = max(seed, default=0) + 1
+        if len(seed) != n or not _proper(g, seed, k):
+            raise BadInput("the initial coloring is not a proper coloring of this graph")
+        if k < best:
+            best, best_assign = k, seed
     if lb < best:
         probe = SolveLimits(
             max_vertices=limits.max_vertices,
@@ -181,22 +195,25 @@ def exact_chromatic_number(
 
     colors = [-1] * n
     nbr_masks = [0] * n
-    degrees = [row.bit_count() for row in g.rows]
+    uncolored = (1 << n) - 1
     for idx, v in enumerate(clique):
         colors[v] = idx
+        uncolored ^= 1 << v
         m = g.rows[v]
         while m:
             w = (m & -m).bit_length() - 1
             nbr_masks[w] |= 1 << idx
             m &= m - 1
+    # DSATUR key (saturation, degree) packed as saturation * n + degree
+    score = [nbr_masks[v].bit_count() * n + g.rows[v].bit_count() for v in range(n)]
     nodes = 0
     hit = False
 
-    def walk(used: int, remaining: int) -> None:
+    def walk(used: int, uncolored: int) -> None:
         nonlocal best, best_assign, nodes, hit
         if hit or best == lb:
             return
-        if remaining == 0:
+        if not uncolored:
             best = used  # branching already kept used < best
             best_assign = colors[:]
             return
@@ -204,40 +221,47 @@ def exact_chromatic_number(
         if nodes > limits.max_nodes or (nodes & 0xFF == 0 and time.monotonic() > deadline):
             hit = True
             return
-        pick, key = -1, (-1, -1)
-        for v in range(n):
-            if colors[v] < 0:
-                k = (nbr_masks[v].bit_count(), degrees[v])
-                if k > key:
-                    pick, key = v, k
+        # ascending scan with a strict > keeps the lowest vertex on ties
+        pick, key = -1, -1
+        m = uncolored
+        while m:
+            v = (m & -m).bit_length() - 1
+            if score[v] > key:
+                pick, key = v, score[v]
+            m &= m - 1
+        rest = uncolored ^ (1 << pick)
         for c in range(min(used + 1, best - 1)):
             if nbr_masks[pick] >> c & 1:
                 continue
             colors[pick] = c
             bit = 1 << c
             touched = []
-            m = g.rows[pick]
+            m = g.rows[pick] & rest
             while m:
                 w = (m & -m).bit_length() - 1
-                if colors[w] < 0 and not nbr_masks[w] & bit:
+                if not nbr_masks[w] & bit:
                     nbr_masks[w] |= bit
+                    score[w] += n
                     touched.append(w)
                 m &= m - 1
-            walk(max(used, c + 1), remaining - 1)
+            walk(max(used, c + 1), rest)
             for w in touched:
                 nbr_masks[w] ^= bit
+                score[w] -= n
             colors[pick] = -1
             if hit or best == lb:
                 return
 
-    walk(len(clique), n - len(clique))
-    assert _proper(g, best_assign, best)
+    walk(len(clique), uncolored)
+    if not _proper(g, best_assign, best):
+        raise InternalContradiction(f"the incumbent is not a proper {best}-coloring")
     if hit:
         return Exhausted(lower=lb, upper=best)
     return best
 
 
 def _proper(g: AdjacencyMatrix, assign: list[int], k: int) -> bool:
+    """True iff every color lies in 0..k-1 and no edge joins two equal colors."""
     if any(not 0 <= c < k for c in assign):
         return False
     for v in range(g.order):
@@ -332,7 +356,8 @@ def exact_independence_number(
 
     expand(0, full, 0)
     result_mask = sum(1 << label[i] for i in range(n) if best_mask >> i & 1)
-    assert _independent(g, result_mask) and result_mask.bit_count() == best
+    if not _independent(g, result_mask) or result_mask.bit_count() != best:
+        raise InternalContradiction(f"the incumbent is not an independent set of size {best}")
     if hit:
         return Exhausted(lower=best, upper=None)
     return best

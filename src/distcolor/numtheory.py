@@ -119,6 +119,18 @@ def check_t1_condition(p: int) -> ConditionReport:
     return ConditionReport(p, d, True, None)
 
 
+def theorem1_prime(n: int) -> int | None:
+    """The prime p in {n - 2, n - 1}, p > 3, that passes the odd-order test.
+
+    Two consecutive integers hold at most one odd prime, so the answer is
+    unique; None when neither candidate qualifies.
+    """
+    for p in (n - 2, n - 1):
+        if p > 3 and is_prime(p) and check_t1_condition(p).condition_holds:
+            return p
+    return None
+
+
 def _sieve(limit: int) -> bytearray:
     """Byte array marking primality of 0..limit."""
     flags = bytearray([1]) * (limit + 1)

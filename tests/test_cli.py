@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from distcolor import exact
 from distcolor.cli import main
 from distcolor.distgraph import GraphSpec, vertex_count
 from distcolor.gf import verify_bh
@@ -117,6 +118,22 @@ def test_exact_chi_and_alpha(capsys):
     assert code == 0 and json.loads(out)["value"] == 5
     code, out, _ = run(capsys, "exact", "alpha", "-n", "9", "-r", "3", "-s", "2")
     assert code == 0 and json.loads(out)["value"] == 12
+
+
+def test_exact_solves_the_complement_spec(capsys):
+    # G(9, 7, 6) is isomorphic to G(9, 2, 1); the answer names the asked spec
+    code, out, _ = run(capsys, "exact", "chi", "-n", "9", "-r", "7", "-s", "6")
+    assert code == 0
+    assert json.loads(out) == {"which": "chi", "n": 9, "r": 7, "s": 6, "value": 9}
+    code, out, _ = run(capsys, "exact", "alpha", "-n", "9", "-r", "7", "-s", "6", "--format", "text")
+    assert code == 0 and out == "alpha(G(9, 7, 6)) = 4\n"
+
+
+def test_exact_internal_contradiction_exit_code(capsys, monkeypatch):
+    # no construction seeds G(6, 2, 0), so only the final re-check fails
+    monkeypatch.setattr(exact, "_proper", lambda g, assign, k: False)
+    code, out, err = run(capsys, "exact", "chi", "-n", "6", "-r", "2", "-s", "0")
+    assert code == 15 and out == "" and err.startswith("error: ")
 
 
 def test_exact_cap_violation(capsys):

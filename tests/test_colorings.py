@@ -11,6 +11,7 @@ from distcolor.colorings import (
     Coloring,
     Method,
     Violation,
+    best_construction,
     bipartition_circles,
     circle,
     circle_graph,
@@ -156,6 +157,27 @@ def test_color_theorem1_n8():
 def test_color_theorem1_unsupported():
     with pytest.raises(UnsupportedN):
         color_theorem1(7)  # 5 fails the condition, 6 is composite
+
+
+def test_best_construction_picks_smallest_palette():
+    cases = [
+        ((9, 3, 2), Method.THEOREM1, 7),  # theorem1 7 beats sum 9
+        ((8, 3, 2), Method.THEOREM1, 7),
+        ((7, 3, 2), Method.SUM_MOD_N, 7),  # tie with bose-chowla 7 goes to sum
+        ((9, 2, 1), Method.SUM_MOD_N, 9),
+        ((11, 4, 2), Method.BOSE_CHOWLA, 120),  # 11^2 - 1 < C(11, 4)
+    ]
+    for (n, r, s), method, palette in cases:
+        spec = GraphSpec(n, r, s)
+        col = best_construction(spec)
+        assert (col.spec, col.method, col.palette_bound) == (spec, method, palette)
+        # renumbered 0..k-1 in order of first appearance
+        first = list(dict.fromkeys(col.labels))
+        assert first == list(range(col.colors_used))
+        assert verify_proper(spec, col) is None
+    assert best_construction(GraphSpec(10, 2, 0)) is None  # nothing applies
+    assert best_construction(GraphSpec(5, 4, 3)) is None  # palette 5 is not below C(5, 4)
+    assert best_construction(GraphSpec(7, 3, 1)) is None  # 7^2 - 1 >= C(7, 3)
 
 
 def test_color_theorem1_larger_prime():

@@ -7,6 +7,7 @@ import pytest
 
 from distcolor.distgraph import (
     GraphSpec,
+    canonical,
     degree,
     edge_count,
     edges,
@@ -128,3 +129,23 @@ def test_complement_isomorphism():
         for v in vertices(big):
             if u != v:
                 assert is_edge(big, u, v) == is_edge(small, flip(u), flip(v))
+
+
+def test_canonical_complement_isomorphism():
+    assert canonical(GraphSpec(9, 7, 6)) == GraphSpec(9, 2, 1)
+    assert canonical(GraphSpec(9, 2, 1)) == GraphSpec(9, 2, 1)
+    assert canonical(GraphSpec(5, 4, 0)) == GraphSpec(5, 4, 0)  # edgeless, no image
+    for spec in all_specs(8):
+        image = canonical(spec)
+        assert image.n == spec.n and image.r <= max(spec.r, spec.n - spec.r)
+        if image == spec:
+            assert spec.r <= spec.n - spec.r or edge_count(spec) == 0, spec
+            continue
+        assert image.r == spec.n - spec.r < spec.r and canonical(image) == image
+        # complementing both ends preserves adjacency in both directions
+        verts = vertices(spec)
+        comp = [tuple(x for x in range(spec.n) if x not in v) for v in verts]
+        for i, u in enumerate(verts):
+            for j in range(i + 1, len(verts)):
+                assert is_edge(spec, u, verts[j]) == is_edge(image, comp[i], comp[j]), spec
+

@@ -8,8 +8,10 @@ against analytic certificates.
 import pytest
 
 from distcolor.bounds import aggregate, counting_lower_bound, independence_upper_bound
-from distcolor.distgraph import GraphSpec, vertex_count, vertices
-from distcolor.errors import BadInput, TooLarge
+from distcolor.colorings import best_construction
+from distcolor.distgraph import GraphSpec, canonical, vertex_count, vertices
+from distcolor.errors import BadInput, InternalContradiction, TooLarge
+from distcolor import exact
 from distcolor.exact import (
     AdjacencyMatrix,
     Exhausted,
@@ -204,3 +206,75 @@ def test_independence_line_graphs_match_matchings():
     # alpha of G(n, 2, 1) is the matching number floor(n / 2)
     for n in range(4, 15):
         assert exact_independence_number(from_spec(n, 2, 1)) == n // 2
+
+
+def test_kneser_chromatic_number_lovasz():
+    # Lovasz (1978): chi(G(n, r, 0)) = n - 2r + 2, and 1 for the edgeless
+    # n < 2r; n <= 12 covers every r >= 2 with C(n, r) <= 56 and an edge
+    for n in range(2, 13):
+        for r in range(2, n + 1):
+            if vertex_count(GraphSpec(n, r, 0)) > 56:
+                continue
+            expected = max(1, n - 2 * r + 2)
+            assert exact_chromatic_number(from_spec(n, r, 0)) == expected, (n, r)
+            report = aggregate(n, r, 0)
+            assert report.best_lower <= expected <= report.best_upper, (n, r)
+
+
+def test_seeded_matches_unseeded():
+    # every spec with C(n, r) <= 21, which bounds n by 21 (r = n - 1)
+    seeded = 0
+    for n in range(1, 22):
+        for r in range(1, n + 1):
+            if vertex_count(GraphSpec(n, r, 0)) > 21:
+                continue
+            for s in range(r):
+                spec = GraphSpec(n, r, s)
+                chi = exact_chromatic_number(AdjacencyMatrix.from_graph_spec(spec))
+                for target in {spec, canonical(spec)}:
+                    seed = best_construction(target)
+                    labels = None if seed is None else seed.labels
+                    seeded += labels is not None
+                    g = AdjacencyMatrix.from_graph_spec(target)
+                    assert exact_chromatic_number(g, initial=labels) == chi, (spec, target)
+    assert seeded > 0
+
+
+def test_initial_coloring_rejected():
+    g = from_spec(5, 2, 1)
+    with pytest.raises(BadInput):
+        exact_chromatic_number(g, initial=[0] * 10)  # monochromatic edges
+    with pytest.raises(BadInput):
+        exact_chromatic_number(g, initial=list(range(9)))  # one label short
+    with pytest.raises(BadInput):
+        exact_chromatic_number(g, initial=[-1] + list(range(1, 10)))
+    assert exact_chromatic_number(g, initial=list(range(10))) == 5  # proper, not better
+
+
+def test_initial_coloring_tightens_exhausted_upper():
+    g = from_spec(9, 2, 1)
+    seed = best_construction(GraphSpec(9, 2, 1))
+    assert exact_chromatic_number(g, SolveLimits(max_nodes=1), seed.labels) == 9
+
+
+def test_unseeded_node_counts_pinned():
+    # values taken from the solver before seeding: the budget at which the
+    # result flips pins the number of nodes the unseeded search visits
+    limits = lambda nodes: SolveLimits(max_nodes=nodes, time_budget=1e9)  # noqa: E731
+    g = from_spec(10, 2, 0)
+    assert exact_chromatic_number(g, limits(36665)) == Exhausted(lower=5, upper=8)
+    assert exact_chromatic_number(g, limits(36666)) == 8
+    g = from_spec(9, 2, 1)
+    assert exact_chromatic_number(g, limits(32)) == Exhausted(lower=9, upper=11)
+    assert exact_chromatic_number(g, limits(33)) == Exhausted(lower=9, upper=10)
+    assert exact_chromatic_number(g, limits(1000)) == Exhausted(lower=9, upper=10)
+
+
+def test_certificate_rechecks_raise(monkeypatch):
+    # raised explicitly, so they also run under python -O
+    monkeypatch.setattr(exact, "_proper", lambda g, assign, k: False)
+    with pytest.raises(InternalContradiction):
+        exact_chromatic_number(from_spec(5, 3, 2))
+    monkeypatch.setattr(exact, "_independent", lambda g, mask: False)
+    with pytest.raises(InternalContradiction):
+        exact_independence_number(from_spec(5, 3, 2))

@@ -16,6 +16,7 @@ from distcolor.numtheory import (
     multiplicative_order,
     next_prime,
     primes_in_class,
+    theorem1_prime,
 )
 
 
@@ -181,3 +182,16 @@ def test_next_prime():
     assert next_prime(7) == 7
     assert next_prime(0) == 2
     assert next_prime(90) == 97
+
+
+def test_theorem1_prime_matches_candidate_scan():
+    for n in range(0, 300):
+        qualifying = [
+            p
+            for p in (n - 2, n - 1)
+            if p > 3 and trial_division_prime(p) and check_t1_condition(p).condition_holds
+        ]
+        assert len(qualifying) <= 1, n  # n - 2 and n - 1 hold at most one odd prime
+        assert theorem1_prime(n) == (qualifying[0] if qualifying else None), n
+    assert theorem1_prime(9) == theorem1_prime(8) == 7
+    assert theorem1_prime(7) is None  # 5 fails the condition, 6 is composite
