@@ -63,7 +63,6 @@ from .numtheory import (
     is_prime,
     legendre_symbol,
     mod_inverse,
-    mod_pow,
     multiplicative_order,
     next_prime,
     primes_in_class,

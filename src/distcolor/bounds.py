@@ -40,7 +40,10 @@ class BoundsReport:
     exact: int | None
 
     def __post_init__(self) -> None:
-        assert self.best_lower <= self.best_upper
+        if self.best_lower > self.best_upper:
+            raise InternalContradiction(
+                f"best lower bound {self.best_lower} exceeds best upper bound {self.best_upper}"
+            )
 
 
 def counting_lower_bound(n: int, r: int) -> int:

@@ -27,11 +27,9 @@ from .colorings import (
     color_theorem1,
     verify_proper,
 )
-from .distgraph import GraphSpec, canonical, vertex_count
+from .distgraph import GraphSpec, canonical
 from .errors import BadInput, Error, TooLarge
 from .exact import (
-    ALPHA_LIMITS,
-    CHI_LIMITS,
     AdjacencyMatrix,
     Exhausted,
     SolveLimits,
@@ -190,18 +188,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     spec = GraphSpec(args.n, args.r, args.s)
-    base = CHI_LIMITS if args.which == "chi" else ALPHA_LIMITS
-    limits = SolveLimits(
-        max_vertices=base.max_vertices,
-        max_nodes=base.max_nodes if args.max_nodes is None else args.max_nodes,
-        time_budget=base.time_budget if args.time_budget is None else args.time_budget,
-    )
-    count = vertex_count(spec)
-    if count > limits.max_vertices:
-        raise TooLarge(
-            f"G({args.n}, {args.r}, {args.s}) has {count} vertices, "
-            f"over the {args.which} cap {limits.max_vertices}"
-        )
+    limits = SolveLimits(args.max_nodes, args.time_budget)
     # an isomorphic spec; chi and alpha, the only things reported, agree
     spec = canonical(spec)
     graph = AdjacencyMatrix.from_graph_spec(spec)
@@ -340,8 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("-n", type=int, required=True)
     p_exact.add_argument("-r", type=int, required=True)
     p_exact.add_argument("-s", type=int, required=True)
-    p_exact.add_argument("--max-nodes", type=int)
-    p_exact.add_argument("--time-budget", type=float)
+    p_exact.add_argument("--max-nodes", type=int, default=SolveLimits.max_nodes)
+    p_exact.add_argument("--time-budget", type=float, default=SolveLimits.time_budget)
     p_exact.add_argument("--format", choices=["json", "text"], default="json")
     p_exact.add_argument("--out", metavar="PATH")
     p_exact.set_defaults(func=cmd_exact)

@@ -170,7 +170,8 @@ def circle_graph(p: int) -> CircleGraph:
         for j in range(i + 1, p):
             a, b = locate[(i, j)], locate[(j, i)]
             edges.add((min(a, b), max(a, b)))
-    assert len(edges) == p * (p - 1) // 2  # one edge per unordered parameter pair
+    if len(edges) != p * (p - 1) // 2:  # one edge per unordered parameter pair
+        raise InternalContradiction(f"{len(edges)} circle-graph edges, expected {p * (p - 1) // 2}")
     adj: list[list[int]] = [[] for _ in circles]
     for a, b in edges:
         adj[a].append(b)

@@ -9,10 +9,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .distgraph import GraphSpec, edges, vertex_count
+# edges is unused here; perfbench/spans.py rebinds it when it traces a run.
+from .distgraph import GraphSpec, edges, vertex_count, vertices
 from .errors import BadInput, InternalContradiction, TooLarge
+
+# One vertex cap per solver, sized for desk-scale searches: the DSATUR
+# search for chi costs far more per vertex than the clique search for
+# alpha. from_graph_spec builds no more rows than the larger cap.
+CHI_MAX_VERTICES = 120
+ALPHA_MAX_VERTICES = 500
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -32,29 +47,23 @@ class AdjacencyMatrix:
             if row >> i & 1:
                 raise BadInput(f"self-loop at vertex {i}")
         for i, row in enumerate(self.rows):
-            m = row
-            while m:
-                j = (m & -m).bit_length() - 1
+            for j in _bits(row):
                 if not self.rows[j] >> i & 1:
                     raise BadInput(f"edge {i}-{j} is not symmetric")
-                m &= m - 1
-
-    @classmethod
-    def from_edges(cls, order: int, edge_list) -> "AdjacencyMatrix":
-        rows = [0] * order
-        for a, b in edge_list:
-            if a == b:
-                raise BadInput(f"self-loop at vertex {a}")
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        return cls(order, tuple(rows))
 
     @classmethod
     def from_graph_spec(cls, spec: GraphSpec) -> "AdjacencyMatrix":
+        """Rows in rank order: bit j of row i is set iff the r-sets share s elements.
+
+        s < r keeps the rows irreflexive.
+        """
         count = vertex_count(spec)
-        if count > 5000:
-            raise TooLarge(f"{count} vertices is too large to materialize")
-        return cls.from_edges(count, edges(spec))
+        if count > ALPHA_MAX_VERTICES:
+            raise TooLarge(f"{count} vertices exceeds the matrix cap {ALPHA_MAX_VERTICES}")
+        masks = [sum(1 << x for x in v) for v in vertices(spec)]
+        s = spec.s
+        rows = [sum(1 << j for j, b in enumerate(masks) if (a & b).bit_count() == s) for a in masks]
+        return cls(count, tuple(rows))
 
     @classmethod
     def complete(cls, m: int) -> "AdjacencyMatrix":
@@ -70,12 +79,11 @@ class AdjacencyMatrix:
 class SolveLimits:
     """Search budgets; every field must be positive."""
 
-    max_vertices: int = 120
     max_nodes: int = 5_000_000
     time_budget: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_vertices <= 0 or self.max_nodes <= 0 or self.time_budget <= 0:
+        if self.max_nodes <= 0 or self.time_budget <= 0:
             raise BadInput("all solve limits must be positive")
 
 
@@ -85,10 +93,6 @@ class Exhausted:
 
     lower: int
     upper: int | None = None
-
-
-CHI_LIMITS = SolveLimits(max_vertices=120)
-ALPHA_LIMITS = SolveLimits(max_vertices=500)
 
 
 def _dsatur_assignment(g: AdjacencyMatrix) -> list[int]:
@@ -108,11 +112,8 @@ def _dsatur_assignment(g: AdjacencyMatrix) -> list[int]:
         while nbr_masks[pick] >> c & 1:
             c += 1
         colors[pick] = c
-        m = g.rows[pick]
-        while m:
-            w = (m & -m).bit_length() - 1
+        for w in _bits(g.rows[pick]):
             nbr_masks[w] |= 1 << c
-            m &= m - 1
     return colors
 
 
@@ -132,14 +133,7 @@ def _greedy_clique(g: AdjacencyMatrix) -> list[int]:
     clique = [seed]
     cand = g.rows[seed]
     while cand:
-        pick, best = -1, (-1, 0)
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            k = ((g.rows[v] & cand).bit_count(), -v)
-            if k > best:
-                pick, best = v, k
-            m &= m - 1
+        pick = max(_bits(cand), key=lambda v: ((g.rows[v] & cand).bit_count(), -v))
         clique.append(pick)
         cand &= g.rows[pick]
     return clique
@@ -147,7 +141,7 @@ def _greedy_clique(g: AdjacencyMatrix) -> list[int]:
 
 def exact_chromatic_number(
     g: AdjacencyMatrix,
-    limits: SolveLimits | None = None,
+    limits: SolveLimits = SolveLimits(),
     initial: Sequence[int] | None = None,
 ) -> int | Exhausted:
     """Exact chi(g) by DSATUR branch and bound.
@@ -162,9 +156,8 @@ def exact_chromatic_number(
     the DSATUR incumbent when k is smaller; it only ever lowers the upper
     side. BadInput when its length is wrong or it is not proper.
     """
-    limits = limits or CHI_LIMITS
-    if g.order > limits.max_vertices:
-        raise TooLarge(f"{g.order} vertices exceeds the solver cap {limits.max_vertices}")
+    if g.order > CHI_MAX_VERTICES:
+        raise TooLarge(f"{g.order} vertices exceeds the chi solver cap {CHI_MAX_VERTICES}")
     n = g.order
     if n == 0:
         return 0
@@ -182,11 +175,7 @@ def exact_chromatic_number(
         if k < best:
             best, best_assign = k, seed
     if lb < best:
-        probe = SolveLimits(
-            max_vertices=limits.max_vertices,
-            max_nodes=200_000,
-            time_budget=limits.time_budget,
-        )
+        probe = SolveLimits(max_nodes=200_000, time_budget=limits.time_budget)
         alpha = exact_independence_number(g, probe)
         if not isinstance(alpha, Exhausted):
             lb = max(lb, -(-n // alpha))
@@ -195,21 +184,17 @@ def exact_chromatic_number(
 
     colors = [-1] * n
     nbr_masks = [0] * n
-    uncolored = (1 << n) - 1
+    adj = [list(_bits(row)) for row in g.rows]
     for idx, v in enumerate(clique):
         colors[v] = idx
-        uncolored ^= 1 << v
-        m = g.rows[v]
-        while m:
-            w = (m & -m).bit_length() - 1
+        for w in adj[v]:
             nbr_masks[w] |= 1 << idx
-            m &= m - 1
     # DSATUR key (saturation, degree) packed as saturation * n + degree
     score = [nbr_masks[v].bit_count() * n + g.rows[v].bit_count() for v in range(n)]
     nodes = 0
     hit = False
 
-    def walk(used: int, uncolored: int) -> None:
+    def walk(used: int, uncolored: tuple[int, ...]) -> None:
         nonlocal best, best_assign, nodes, hit
         if hit or best == lb:
             return
@@ -221,29 +206,22 @@ def exact_chromatic_number(
         if nodes > limits.max_nodes or (nodes & 0xFF == 0 and time.monotonic() > deadline):
             hit = True
             return
-        # ascending scan with a strict > keeps the lowest vertex on ties
-        pick, key = -1, -1
-        m = uncolored
-        while m:
-            v = (m & -m).bit_length() - 1
-            if score[v] > key:
-                pick, key = v, score[v]
-            m &= m - 1
-        rest = uncolored ^ (1 << pick)
+        # uncolored holds the uncolored vertices in ascending order; max
+        # keeps the first of equal keys, so ties go to the lowest vertex
+        pick = max(uncolored, key=score.__getitem__)
+        i = uncolored.index(pick)
+        rest = uncolored[:i] + uncolored[i + 1 :]
         for c in range(min(used + 1, best - 1)):
             if nbr_masks[pick] >> c & 1:
                 continue
             colors[pick] = c
             bit = 1 << c
             touched = []
-            m = g.rows[pick] & rest
-            while m:
-                w = (m & -m).bit_length() - 1
-                if not nbr_masks[w] & bit:
+            for w in adj[pick]:
+                if colors[w] < 0 and not nbr_masks[w] & bit:
                     nbr_masks[w] |= bit
                     score[w] += n
                     touched.append(w)
-                m &= m - 1
             walk(max(used, c + 1), rest)
             for w in touched:
                 nbr_masks[w] ^= bit
@@ -252,7 +230,7 @@ def exact_chromatic_number(
             if hit or best == lb:
                 return
 
-    walk(len(clique), uncolored)
+    walk(len(clique), tuple(v for v in range(n) if colors[v] < 0))
     if not _proper(g, best_assign, best):
         raise InternalContradiction(f"the incumbent is not a proper {best}-coloring")
     if hit:
@@ -264,18 +242,11 @@ def _proper(g: AdjacencyMatrix, assign: list[int], k: int) -> bool:
     """True iff every color lies in 0..k-1 and no edge joins two equal colors."""
     if any(not 0 <= c < k for c in assign):
         return False
-    for v in range(g.order):
-        m = g.rows[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            if assign[v] == assign[w]:
-                return False
-            m &= m - 1
-    return True
+    return not any(assign[v] == assign[w] for v in range(g.order) for w in _bits(g.rows[v]))
 
 
 def exact_independence_number(
-    g: AdjacencyMatrix, limits: SolveLimits | None = None
+    g: AdjacencyMatrix, limits: SolveLimits = SolveLimits()
 ) -> int | Exhausted:
     """Exact alpha(g) as a maximum clique search on the complement.
 
@@ -283,9 +254,8 @@ def exact_independence_number(
     complement subgraph), the standard bitset scheme. The certificate set
     is kept and re-checked before returning.
     """
-    limits = limits or ALPHA_LIMITS
-    if g.order > limits.max_vertices:
-        raise TooLarge(f"{g.order} vertices exceeds the solver cap {limits.max_vertices}")
+    if g.order > ALPHA_MAX_VERTICES:
+        raise TooLarge(f"{g.order} vertices exceeds the alpha solver cap {ALPHA_MAX_VERTICES}")
     n = g.order
     if n == 0:
         return 0
@@ -295,13 +265,7 @@ def exact_independence_number(
     comp0 = [~g.rows[v] & (full ^ (1 << v)) for v in range(n)]
     label = sorted(range(n), key=lambda v: (-comp0[v].bit_count(), v))
     pos = {v: i for i, v in enumerate(label)}
-    comp = [0] * n
-    for v in range(n):
-        m = comp0[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            comp[pos[v]] |= 1 << pos[w]
-            m &= m - 1
+    comp = [sum(1 << pos[w] for w in _bits(comp0[v])) for v in label]
 
     # greedy independent set in g (original labels), lowest degree first
     chosen_mask = 0
@@ -364,10 +328,4 @@ def exact_independence_number(
 
 
 def _independent(g: AdjacencyMatrix, mask: int) -> bool:
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        if g.rows[v] & mask:
-            return False
-        m &= m - 1
-    return True
+    return not any(g.rows[v] & mask for v in _bits(mask))

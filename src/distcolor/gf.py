@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable
 
-from .errors import BadInput, NotPrime, TooLarge
+from .errors import BadInput, InternalContradiction, NotPrime, TooLarge
 from .numtheory import _prime_factors, is_prime
 
 FieldElement = tuple[int, ...]
@@ -146,7 +146,7 @@ def field_build(q: int, h: int) -> FieldSpec:
             continue
         if all(field_pow(f, theta, c) != one for c in cofactors):
             return f
-    raise AssertionError("unreachable: a primitive polynomial always exists")
+    raise InternalContradiction(f"no primitive polynomial found for GF({q}^{h})")
 
 
 def discrete_log_table(f: FieldSpec) -> dict[FieldElement, int]:
@@ -160,7 +160,8 @@ def discrete_log_table(f: FieldSpec) -> dict[FieldElement, int]:
     for k in range(f.order - 1):
         table[e] = k
         e = _mul_mod(e, f.theta, f.modulus_poly, f.q)
-    assert e == f.one and len(table) == f.order - 1
+    if e != f.one or len(table) != f.order - 1:
+        raise InternalContradiction(f"the powers of theta do not cycle through GF({f.q}^{f.h})*")
     return table
 
 

@@ -53,11 +53,6 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def mod_pow(a: int, e: int, m: int) -> int:
-    """a**e mod m by square-and-multiply, canonicalized to {0, ..., m-1}."""
-    return pow(a % m, e, m)
-
-
 def mod_inverse(a: int, p: int) -> int:
     """Inverse of a modulo the prime p."""
     a %= p

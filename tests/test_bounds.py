@@ -5,6 +5,7 @@ import math
 import pytest
 
 from distcolor.bounds import (
+    BoundsReport,
     aggregate,
     counting_lower_bound,
     divisibility_lower_bound,
@@ -14,7 +15,8 @@ from distcolor.bounds import (
     theorem3_upper,
 )
 from distcolor.colorings import color_bose_chowla, color_sum, color_symmetric, color_theorem1
-from distcolor.errors import OutOfValidity
+from distcolor.distgraph import GraphSpec
+from distcolor.errors import InternalContradiction, OutOfValidity
 
 SOURCES = {"ineq1", "thm1", "thm2A", "thm2B", "thm3", "next_prime", "reference_eq2"}
 
@@ -136,3 +138,9 @@ def test_colorings_respect_lower_bounds():
     for coloring, report in cases:
         assert coloring.colors_used >= report.best_lower
         assert coloring.palette_bound >= report.best_lower
+
+
+def test_bounds_report_rejects_crossed_bounds():
+    # raised explicitly, so it also runs under python -O
+    with pytest.raises(InternalContradiction):
+        BoundsReport(GraphSpec(9, 3, 2), (), (), best_lower=8, best_upper=7, exact=None)

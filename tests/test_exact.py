@@ -9,7 +9,7 @@ import pytest
 
 from distcolor.bounds import aggregate, counting_lower_bound, independence_upper_bound
 from distcolor.colorings import best_construction
-from distcolor.distgraph import GraphSpec, canonical, vertex_count, vertices
+from distcolor.distgraph import GraphSpec, canonical, edges, vertex_count, vertices
 from distcolor.errors import BadInput, InternalContradiction, TooLarge
 from distcolor import exact
 from distcolor.exact import (
@@ -101,7 +101,35 @@ def test_chromatic_matches_brute_force():
 
 def test_chromatic_cap():
     with pytest.raises(TooLarge):
-        exact_chromatic_number(AdjacencyMatrix.empty(10), SolveLimits(max_vertices=5))
+        exact_chromatic_number(AdjacencyMatrix.empty(121))
+
+
+def test_independence_cap():
+    with pytest.raises(TooLarge):
+        exact_independence_number(AdjacencyMatrix.empty(501))
+    with pytest.raises(TooLarge):
+        AdjacencyMatrix.from_graph_spec(GraphSpec(12, 5, 2))  # 792 vertices
+    # budgets leave the cap at 500, above the chi solver's 120
+    assert exact_independence_number(AdjacencyMatrix.empty(200), SolveLimits(max_nodes=10)) == 200
+
+
+def test_from_graph_spec_matches_edge_stream():
+    # every spec with C(n, r) <= 84 and n <= 14: all of them with
+    # 2 <= r <= n - 2, plus the complete (r = 1), complete-or-edgeless
+    # (r = n - 1) and single-vertex (r = n) families, whose larger n only
+    # repeat the same shapes; complement specs (r > n - r) are included
+    for n in range(1, 15):
+        for r in range(1, n + 1):
+            count = vertex_count(GraphSpec(n, r, 0))
+            if count > 84:
+                continue
+            for s in range(r):
+                spec = GraphSpec(n, r, s)
+                rows = [0] * count
+                for a, b in edges(spec):
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+                assert AdjacencyMatrix.from_graph_spec(spec).rows == tuple(rows), spec
 
 
 def test_chromatic_exhaustion():

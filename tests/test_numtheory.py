@@ -12,7 +12,6 @@ from distcolor.numtheory import (
     is_prime,
     legendre_symbol,
     mod_inverse,
-    mod_pow,
     multiplicative_order,
     next_prime,
     primes_in_class,
@@ -29,13 +28,6 @@ def trial_division_prime(m: int) -> bool:
             return False
         d += 1
     return True
-
-
-def naive_pow(a: int, e: int, m: int) -> int:
-    x = 1
-    for _ in range(e):
-        x = x * a % m
-    return x
 
 
 def naive_order(a: int, p: int) -> int:
@@ -60,23 +52,6 @@ def test_is_prime_matches_trial_division():
     # spot checks around 64-bit scale values
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 3, 7) == 1
-    for a in (0, 1, 5, 123):
-        assert mod_pow(a, 0, 11) == 1
-    # 2^9 = 512 = 7 * 73 + 1, so 2^36 = (2^9)^4 = 1 mod 73, not -1
-    assert naive_pow(2, 36, 73) == 1
-    assert mod_pow(2, 36, 73) == 1
-    assert mod_pow(2, 36, 73) != 72
-
-
-def test_mod_pow_matches_naive():
-    for m in range(2, 51):
-        for a in range(51):
-            for e in range(51):
-                assert mod_pow(a, e, m) == naive_pow(a, e, m)
 
 
 def test_mod_inverse():
