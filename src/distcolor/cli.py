@@ -37,7 +37,7 @@ from .exact import (
     exact_independence_number,
 )
 from .gf import bose_chowla_set
-from .numtheory import check_t1_condition, primes_in_class
+from .numtheory import _t1_report, check_t1_condition, primes_in_class
 
 EXIT_IMPROPER = 3
 
@@ -219,10 +219,11 @@ def cmd_scan_condition(args: argparse.Namespace) -> int:
     if args.limit > 10**6:
         raise TooLarge(f"scan limit {args.limit} exceeds 10^6")
     rows = []
+    # the sieve proved these primes, so the report skips primality testing
     for p in primes_in_class(args.limit, 0, 1):
         if p <= 3:
             continue
-        rep = check_t1_condition(p)
+        rep = _t1_report(p)
         rows.append(
             [
                 p,
@@ -270,6 +271,8 @@ def cmd_bhset(args: argparse.Namespace) -> int:
 
 
 def cmd_circles(args: argparse.Namespace) -> int:
+    if args.p > 1000:
+        raise TooLarge(f"circle prime {args.p} exceeds 1000")
     condition = check_t1_condition(args.p).condition_holds
     if condition:
         bip = bipartition_circles(args.p)

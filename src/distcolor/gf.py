@@ -4,12 +4,15 @@ Field elements are coefficient tuples of length h over Z_q, constant
 term first. The modulus polynomial is the canonically smallest primitive
 one and the generator theta is the class of the indeterminate, so every
 derived object (discrete logs, B_h sets) is reproducible across runs.
+B_h sets need only q logarithms, found by baby-step giant-step; the full
+discrete-log table is built by enumeration and serves as their oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import isqrt
 from typing import Iterable
 
 from .errors import BadInput, InternalContradiction, NotPrime, TooLarge
@@ -17,8 +20,8 @@ from .numtheory import _prime_factors, is_prime
 
 FieldElement = tuple[int, ...]
 
-# Discrete-log tables are built by full enumeration, so field sizes are
-# capped at desk scale.
+# The full discrete-log table enumerates the field and a B_h set keeps
+# about sqrt(q * q^h) baby steps, so field sizes are capped at desk scale.
 FIELD_SIZE_CAP = 1 << 20
 
 
@@ -165,6 +168,43 @@ def discrete_log_table(f: FieldSpec) -> dict[FieldElement, int]:
     return table
 
 
+def _logs(f: FieldSpec, targets: list[FieldElement]) -> list[int]:
+    """log_theta of each nonzero target by baby-step giant-step (Shanks).
+
+    With N = q^h - 1 the b baby steps theta^j, j < b, go in a dict, and
+    each target is multiplied by theta^(N - b) = theta^(-b) until it lands
+    on one; b = min(isqrt(len(targets) * N) + 1, N) balances the b baby
+    steps against the len(targets) * N / b giant steps. A repeated baby
+    step or a target missed within ceil(N / b) giant steps means theta is
+    not primitive, and each exponent is re-checked by exponentiation.
+    """
+    group = f.order - 1
+    b = min(isqrt(len(targets) * group) + 1, group)
+    baby: dict[FieldElement, int] = {}
+    e = f.one
+    for j in range(b):
+        if e in baby:
+            raise InternalContradiction(f"theta^{j} repeats theta^{baby[e]} in GF({f.q}^{f.h})")
+        baby[e] = j
+        e = _mul_mod(e, f.theta, f.modulus_poly, f.q)
+    giant = field_pow(f, f.theta, group - b)
+    logs = []
+    for target in targets:
+        y = target
+        for i in range(-(-group // b)):
+            j = baby.get(y)
+            if j is not None:
+                break
+            y = _mul_mod(y, giant, f.modulus_poly, f.q)
+        else:
+            raise InternalContradiction(f"{target} is not a power of theta in GF({f.q}^{f.h})")
+        k = i * b + j
+        if field_pow(f, f.theta, k) != target:
+            raise InternalContradiction(f"theta^{k} != {target} in GF({f.q}^{f.h})")
+        logs.append(k)
+    return logs
+
+
 def bose_chowla_set(q: int, h: int) -> BhSet:
     """The Bose-Chowla B_h set {log_theta(theta + c) : c in GF(q)}.
 
@@ -174,9 +214,8 @@ def bose_chowla_set(q: int, h: int) -> BhSet:
     impossible since theta has degree h over Z_q.
     """
     f = field_build(q, h)
-    logs = discrete_log_table(f)
     tail = (0,) * (h - 2)
-    elements = sorted(logs[(c, 1) + tail] for c in range(q))
+    elements = sorted(_logs(f, [(c, 1) + tail for c in range(q)]))
     return BhSet(q, h, f.order - 1, tuple(elements))
 
 

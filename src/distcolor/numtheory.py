@@ -64,16 +64,28 @@ def mod_inverse(a: int, p: int) -> int:
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n by trial division."""
     out = []
-    d = 2
+    if n and n % 2 == 0:
+        out.append(2)
+        n //= n & -n  # the lowest set bit: every factor 2 at once
+    d = 3
     while d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1 if d == 2 else 2
+        d += 2
     if n > 1:
         out.append(n)
     return out
+
+
+def _order(a: int, p: int) -> int:
+    """Least k >= 1 with a^k = 1 mod p, for a prime p and a unit a mod p."""
+    order = p - 1
+    for q in _prime_factors(p - 1):
+        while order % q == 0 and pow(a, order // q, p) == 1:
+            order //= q
+    return order
 
 
 def multiplicative_order(a: int, p: int) -> int:
@@ -83,11 +95,7 @@ def multiplicative_order(a: int, p: int) -> int:
     a %= p
     if a == 0:
         raise NotCoprime(f"0 is not a unit mod {p}")
-    order = p - 1
-    for q in _prime_factors(p - 1):
-        while order % q == 0 and pow(a, order // q, p) == 1:
-            order //= q
-    return order
+    return _order(a, p)
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -100,18 +108,23 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
-def check_t1_condition(p: int) -> ConditionReport:
-    """Test whether no power of 2 equals -1 mod p (p prime, p > 3).
+def _t1_report(p: int) -> ConditionReport:
+    """The odd-order report for a p already known to be a prime > 3.
 
     -1 lies in the cyclic group generated by 2 iff the order d of 2 is
     even and 2^(d/2) = -1, so only one exponent needs checking.
     """
-    if p <= 3 or not is_prime(p):
-        raise InvalidPrime(f"need a prime p > 3, got {p}")
-    d = multiplicative_order(2, p)
+    d = _order(2, p)
     if d % 2 == 0 and pow(2, d // 2, p) == p - 1:
         return ConditionReport(p, d, False, d // 2)
     return ConditionReport(p, d, True, None)
+
+
+def check_t1_condition(p: int) -> ConditionReport:
+    """Test whether no power of 2 equals -1 mod p (p prime, p > 3)."""
+    if p <= 3 or not is_prime(p):
+        raise InvalidPrime(f"need a prime p > 3, got {p}")
+    return _t1_report(p)
 
 
 def theorem1_prime(n: int) -> int | None:
@@ -121,7 +134,7 @@ def theorem1_prime(n: int) -> int | None:
     unique; None when neither candidate qualifies.
     """
     for p in (n - 2, n - 1):
-        if p > 3 and is_prime(p) and check_t1_condition(p).condition_holds:
+        if p > 3 and is_prime(p) and _t1_report(p).condition_holds:
             return p
     return None
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -10,6 +11,7 @@ from distcolor import exact
 from distcolor.cli import main
 from distcolor.distgraph import GraphSpec, vertex_count
 from distcolor.gf import verify_bh
+from distcolor.numtheory import check_t1_condition
 
 
 def run(capsys, *argv):
@@ -175,6 +177,40 @@ def test_scan_condition(capsys):
             assert row["witness_r"] == ""
 
 
+def test_scan_condition_rows_match_validating_check(capsys):
+    # the scan skips primality testing for sieved primes; the public,
+    # validating check_t1_condition must give the same rows
+    code, out, _ = run(capsys, "scan-condition", "--limit", "20000")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    expected = []
+    for p in range(5, 20001):
+        if all(p % d for d in range(2, int(p**0.5) + 1)):
+            rep = check_t1_condition(p)
+            holds = "true" if rep.condition_holds else "false"
+            witness = "" if rep.witness_r is None else str(rep.witness_r)
+            expected.append([str(p), str(p % 8), str(rep.order_of_two), holds, witness])
+    assert rows == expected
+
+
+# sha256 of stdout as produced by the full discrete-log walk and by a scan
+# that re-tested every sieved prime; the faster paths must match it byte
+# for byte
+PINNED_STDOUT = [
+    (("bhset", "-q", "101", "--degree", "3"),
+     "687130b7542169e124b25ab4fa027273062f7072b0491e34ebe3305532f1a8c9"),
+    (("scan-condition", "--limit", "100000"),
+     "45468cf4979759b6be288a2f428278fa24a1c75b8857c583b7c7ebb048d9bbc8"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=["bhset", "scan-condition"])
+def test_pinned_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_scan_condition_cap(capsys):
     code, _, _ = run(capsys, "scan-condition", "--limit", "2000000")
     assert code == 7
@@ -216,6 +252,16 @@ def test_circles(capsys):
     code, out, _ = run(capsys, "circles", "-p", "5")
     data = json.loads(out)
     assert data["condition_holds"] is False and data["bipartition"] is None
+
+
+def test_circles_cap(capsys):
+    # refused before any primality test: 1001 = 7 * 11 * 13 is composite
+    for p in ("1009", "1001"):
+        code, out, err = run(capsys, "circles", "-p", p)
+        assert code == 7 and out == ""
+        assert err == f"error: circle prime {p} exceeds 1000\n"
+    code, _, _ = run(capsys, "circles", "-p", "1000")  # within the cap, composite
+    assert code == 6
 
 
 def test_byte_identical_outputs(capsys):

@@ -2,14 +2,16 @@
 
 The in-test oracle reimplements polynomial arithmetic naively (schoolbook
 multiply, repeated long division) to cross-check the canonical modulus
-search and the discrete-log walk.
+search and the discrete-log walk; the walk's full table in turn is the
+oracle for the baby-step giant-step logs behind the Bose-Chowla sets.
 """
 
 from itertools import combinations_with_replacement, product
 
 import pytest
 
-from distcolor.errors import BadInput, NotPrime, TooLarge
+from distcolor import gf
+from distcolor.errors import BadInput, InternalContradiction, NotPrime, TooLarge
 from distcolor.gf import (
     FIELD_SIZE_CAP,
     FieldSpec,
@@ -135,6 +137,57 @@ def test_bose_chowla_passes_brute_force():
         assert all(0 <= e < bh.modulus for e in bh.elements)
         assert list(bh.elements) == sorted(bh.elements)
         assert verify_bh(bh.elements, h, bh.modulus)
+
+
+def _primes_to(m):
+    return [q for q in range(2, m + 1) if all(q % d for d in range(2, q))]
+
+
+def test_bose_chowla_matches_discrete_log_table():
+    # every field with q^h <= 10^4: the logs read off the full walk
+    cases = [(q, h) for q in _primes_to(100) for h in range(2, 14) if q**h <= 10**4]
+    assert len(cases) == 51
+    for q, h in cases:
+        f = field_build(q, h)
+        logs = discrete_log_table(f)
+        expected = sorted(logs[(c, 1) + (0,) * (h - 2)] for c in range(q))
+        bh = bose_chowla_set(q, h)
+        assert list(bh.elements) == expected, (q, h)
+        assert verify_bh(bh.elements, h, bh.modulus), (q, h)
+
+
+def _targets(q):
+    return [(c, 1) for c in range(q)]
+
+
+def test_logs_reject_repeated_baby_steps():
+    # x^2 + 1 is irreducible over Z_3 but theta = i has order 4 < 8, so
+    # the 5 baby steps theta^0..theta^4 repeat
+    f = FieldSpec(3, 2, (1, 0, 1))
+    with pytest.raises(InternalContradiction, match="repeats"):
+        gf._logs(f, _targets(3))
+
+
+def test_logs_reject_missed_giant_steps():
+    # an irreducible quadratic over Z_7 whose root has order 24 of 48: the
+    # 19 baby steps are distinct, but theta + c outside <theta> is never hit
+    moduli = [
+        (a0, a1, 1)
+        for a0, a1 in product(range(1, 7), range(7))
+        if all((x * x + a1 * x + a0) % 7 for x in range(7))
+    ]
+    f = next(FieldSpec(7, 2, m) for m in moduli if element_order_naive(FieldSpec(7, 2, m), (0, 1)) == 24)
+    with pytest.raises(InternalContradiction, match="not a power"):
+        gf._logs(f, _targets(7))
+
+
+def test_logs_recheck_exponents(monkeypatch):
+    # a giant step of theta^(1 - b) instead of theta^(-b) yields wrong exponents
+    f = field_build(5, 2)
+    real_pow = gf.field_pow
+    monkeypatch.setattr(gf, "field_pow", lambda f, a, e: real_pow(f, a, e + 1))
+    with pytest.raises(InternalContradiction, match="!="):
+        gf._logs(f, _targets(5))
 
 
 def test_bose_chowla_implies_lower_orders():
