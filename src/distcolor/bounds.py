@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .distgraph import GraphSpec
-from .errors import InternalContradiction, OutOfValidity
+from .errors import InternalContradiction, OutOfValidity, TooLarge
 # check_t1_condition is unused here; perfbench/spans.py rebinds it when it traces a run.
 from .numtheory import check_t1_condition, is_prime, next_prime, theorem1_prime
 
@@ -113,6 +113,10 @@ def aggregate(n: int, r: int, s: int) -> BoundsReport:
     since its vanishing correction factor is dropped.
     """
     spec = GraphSpec(n, r, s)
+    # next_prime(n) < 2n keeps every value below 2^(r * bit_length(2n)) and every
+    # intermediate (C(n, r - 1), r!) below its square: fast, and printable
+    if n > 10**6 or r * (2 * n).bit_length() > 10**4:
+        raise TooLarge(f"bounds need n <= 10^6 and r * bit_length(2n) <= 10^4, got {n}, {r}")
     lower: list[Bound] = []
     upper: list[Bound] = []
     if s == r - 1:

@@ -274,24 +274,16 @@ def cmd_circles(args: argparse.Namespace) -> int:
     if args.p > 1000:
         raise TooLarge(f"circle prime {args.p} exceeds 1000")
     condition = check_t1_condition(args.p).condition_holds
-    if condition:
-        bip = bipartition_circles(args.p)
-        graph = bip.graph
-        bipartition: list[int] | None = list(bip.classes)
-    else:
-        graph = circle_graph(args.p)
-        bipartition = None
-    edges = sorted(
-        {(min(i, j), max(i, j)) for i, nbrs in enumerate(graph.adjacency) for j in nbrs}
-    )
+    bip = bipartition_circles(args.p) if condition else None
+    graph = circle_graph(args.p) if bip is None else bip.graph
     payload = {
         "p": args.p,
         "condition_holds": condition,
         "circles": [
             {"parameter": c.parameter, "points": list(c.points)} for c in graph.circles
         ],
-        "edges": [list(e) for e in edges],
-        "bipartition": bipartition,
+        "edges": [list(e) for e in graph.edges],
+        "bipartition": None if bip is None else list(bip.classes),
     }
     _emit(_json_text(payload), args.out)
     return 0

@@ -4,7 +4,12 @@ Four construction families:
 
 - ``theorem1``: G(n, 3, 2) in n - 2 (or n - 1) colors, available when a
   prime p in {n - 2, n - 1} has 2 of odd multiplicative order. Built from
-  a two-coloring of the "circle graph" over Z_p.
+  a two-coloring of the "circle graph" over Z_p. The circle C(i, j) is the
+  coset i + (j - i)<2> of the subgroup <2> of Z_p^* and its neighbor lies
+  on the negated coset, so the two-coloring is a rule on differences:
+  class 1 on the coset holding the least member of c<2> and -c<2>, class
+  2 on its negative. When -1 is in <2> the circle graph has an odd
+  p-cycle and no two-coloring exists.
 - ``sum``: G(n, r, r - 1) in n colors, label = sum of elements mod n.
 - ``bose-chowla``: G(n, r, s) for prime n in n^(r-s) - 1 colors, label =
   sum of B_(r-s) set members picked by the vertex's elements.
@@ -21,18 +26,17 @@ label class, the only pairs that can be monochromatic edges.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from itertools import combinations
 
 # edges and check_t1_condition are unused here; perfbench/spans.py rebinds
 # them when it traces a run.
 from .distgraph import MAX_ENUMERATION_VERTICES, GraphSpec, RSubset, edges, is_edge, unrank
-from .distgraph import vertex_count, vertices
+from .distgraph import capped_vertex_count, vertex_count, vertices
 from .errors import BadInput, IncompleteColoring, InternalContradiction, InvalidPrime, NotPrime
-from .errors import OddCycle, TooLarge, UnsupportedN
+from .errors import OddCycle, UnsupportedN
 from .gf import bose_chowla_set
 from .numtheory import check_t1_condition, is_prime, mod_inverse, theorem1_prime
 
@@ -56,10 +60,9 @@ class Coloring:
     palette_bound: int
 
     def __post_init__(self) -> None:
-        if len(self.labels) != vertex_count(self.spec):
-            raise IncompleteColoring(
-                f"{len(self.labels)} labels for {vertex_count(self.spec)} vertices"
-            )
+        count = capped_vertex_count(self.spec, MAX_ENUMERATION_VERTICES)
+        if len(self.labels) != count:
+            raise IncompleteColoring(f"{len(self.labels)} labels for {count} vertices")
         if any(type(c) is not int or not 0 <= c < self.palette_bound for c in self.labels):
             raise BadInput(f"labels must be integers in [0, {self.palette_bound})")
 
@@ -94,32 +97,23 @@ class Circle:
 class CircleGraph:
     """All circles mod p, adjacent when their parameter/start pairs swap.
 
-    ``circles`` is sorted by (parameter, smallest point); ``adjacency``
-    holds sorted neighbor indices per circle.
+    ``circles`` is sorted by (parameter, smallest point); ``edges`` holds
+    the ascending (index, index) pairs, the lower index first.
     """
 
     p: int
     circles: tuple[Circle, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def _index(self) -> dict[Circle, int]:
-        return {c: i for i, c in enumerate(self.circles)}
-
-    def index_of(self, c: Circle) -> int:
-        return self._index[c]
+    edges: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class CircleBipartition:
-    """A proper 2-coloring of a circle graph (classes 1 and 2)."""
+    """A proper 2-coloring of a circle graph; ``sides[c]`` is the class of each C(i, i + c)."""
 
     p: int
     graph: CircleGraph
     classes: tuple[int, ...]
-
-    def class_of(self, c: Circle) -> int:
-        return self.classes[self.graph.index_of(c)]
+    sides: tuple[int, ...]
 
 
 def _require_odd_prime_gt3(p: int) -> None:
@@ -130,8 +124,7 @@ def _require_odd_prime_gt3(p: int) -> None:
 def circle(p: int, i: int, j: int) -> Circle:
     """The circle through j with parameter i, generated iteratively."""
     _require_odd_prime_gt3(p)
-    i %= p
-    j %= p
+    i, j = i % p, j % p
     if i == j:
         raise BadInput("the parameter is a fixed point, pick j != i")
     inv2 = mod_inverse(2, p)
@@ -155,16 +148,13 @@ def circle_graph(p: int) -> CircleGraph:
     circles: list[Circle] = []
     locate: dict[tuple[int, int], int] = {}
     for i in range(p):
-        seen: set[int] = set()
         for j in range(p):
-            if j == i or j in seen:
+            if j == i or (i, j) in locate:
                 continue
             c = circle(p, i, j)
-            idx = len(circles)
-            circles.append(c)
             for t in c.points:
-                locate[(i, t)] = idx
-            seen.update(c.points)
+                locate[(i, t)] = len(circles)
+            circles.append(c)
     edges = set()
     for i in range(p):
         for j in range(i + 1, p):
@@ -172,37 +162,45 @@ def circle_graph(p: int) -> CircleGraph:
             edges.add((min(a, b), max(a, b)))
     if len(edges) != p * (p - 1) // 2:  # one edge per unordered parameter pair
         raise InternalContradiction(f"{len(edges)} circle-graph edges, expected {p * (p - 1) // 2}")
-    adj: list[list[int]] = [[] for _ in circles]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return CircleGraph(p, tuple(circles), tuple(tuple(sorted(x)) for x in adj))
+    return CircleGraph(p, tuple(circles), tuple(sorted(edges)))
+
+
+def _circle_sides(p: int) -> tuple[int, ...]:
+    """Class 1 or 2 of every circle C(i, i + c), indexed by c (index 0 unused).
+
+    Writing t = i + d turns t -> (t + i) / 2 into d -> d / 2, so C(i, i + c)
+    is the coset i + c<2> of the subgroup <2> of Z_p^* and its neighbor
+    C(i + c, i) lies on i + c - c<2>: each edge joins difference coset D to
+    -D. If -1 is not in <2>, the circles on D are one side of the component
+    of {D, -D}; class 1 goes to the coset holding the least member of D and
+    -D, as breadth-first layering from the least circle of parameter 0 does.
+    If -1 is in <2>, i, i + u, i + 2u, ... (u in D) close a cycle of odd
+    length p, so OddCycle is raised. Built in O(p) steps of t -> 2t.
+    """
+    sides = [0] * p
+    for c in range(1, p):
+        if sides[c]:
+            continue
+        t = c  # the least unassigned residue, so the least of c<2> and -c<2>
+        while not sides[t]:
+            sides[t], sides[p - t] = 1, 2
+            t = 2 * t % p
+        if t != c:  # the walk met -c<2>: -1 lies in <2>
+            raise OddCycle(f"odd cycle in the circle graph mod {p}")
+    return tuple(sides)
 
 
 def bipartition_circles(p: int) -> CircleBipartition:
-    """Two-color the circle graph by breadth-first layering.
-
-    Deterministic: each component is rooted at its smallest circle in
-    canonical order, neighbors are visited ascending, and even layers get
-    class 1. Raises OddCycle on a layering conflict, which signals that p
-    violates the odd-order precondition.
-    """
+    """Two-color the circle graph by ``_circle_sides``; OddCycle when p fails the condition."""
     g = circle_graph(p)
-    classes = [0] * len(g.circles)
-    for root in range(len(g.circles)):
-        if classes[root]:
-            continue
-        classes[root] = 1
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if classes[w] == 0:
-                    classes[w] = 3 - classes[v]
-                    queue.append(w)
-                elif classes[w] == classes[v]:
-                    raise OddCycle(f"odd cycle in the circle graph mod {p}")
-    return CircleBipartition(p, g, tuple(classes))
+    sides = _circle_sides(p)
+    classes = tuple(sides[(c.points[0] - c.parameter) % p] for c in g.circles)
+    return CircleBipartition(p, g, classes, sides)
+
+
+def _f(side: int, index: int, x: int, y: int) -> int:
+    """f_index(x, y) for a circle C(x, y) in class ``side``."""
+    return x if (side == 1) == (index == 1) else y
 
 
 def f_select(bip: CircleBipartition, index: int, x: int, y: int) -> int:
@@ -217,10 +215,7 @@ def f_select(bip: CircleBipartition, index: int, x: int, y: int) -> int:
         raise BadInput(f"index must be 1 or 2, got {index}")
     if x % bip.p == y % bip.p:
         raise BadInput("need two distinct residues")
-    first = bip.class_of(circle(bip.p, x, y)) == 1
-    if index == 1:
-        return x if first else y
-    return y if first else x
+    return _f(bip.sides[(y - x) % bip.p], index, x, y)
 
 
 def color_theorem1(n: int) -> Coloring:
@@ -241,7 +236,7 @@ def color_theorem1(n: int) -> Coloring:
     p = theorem1_prime(n)
     if p is None:
         raise UnsupportedN(f"no qualifying prime at n - 2 or n - 1 for n = {n}")
-    bip = bipartition_circles(p)
+    sides = _circle_sides(p)
     spec = GraphSpec(n, 3, 2)
     labels = []
     for v in vertices(spec):
@@ -253,8 +248,7 @@ def color_theorem1(n: int) -> Coloring:
             c = 3 * inside[0] % p
         else:
             x1, x2 = inside
-            index = 1 if special[0] == p else 2
-            c = (x1 + x2 + f_select(bip, index, x1, x2)) % p
+            c = (x1 + x2 + _f(sides[x2 - x1], 1 if special[0] == p else 2, x1, x2)) % p
         labels.append(c)
     return Coloring(spec, tuple(labels), Method.THEOREM1, p)
 
@@ -319,7 +313,7 @@ def color_bose_chowla(n: int, r: int, s: int) -> Coloring:
     spec = GraphSpec(n, r, s)
     h = r - s
     if h == 1:
-        weights: tuple[int, ...] = tuple(range(n))
+        weights: range | tuple[int, ...] = range(n)  # O(1) memory before the vertex cap
         modulus = n
     else:
         bh = bose_chowla_set(n, h)
@@ -421,10 +415,8 @@ def verify_proper(spec: GraphSpec, coloring: Coloring) -> Violation | None:
     those are tested (at most alpha * V pairs when proper). A reported
     pair is re-checked with is_edge and the labels before it is returned.
     """
-    if coloring.spec != spec:
+    if coloring.spec != spec:  # a Coloring's spec is within the enumeration cap
         raise BadInput(f"coloring is for {coloring.spec}, not {spec}")
-    if vertex_count(spec) > MAX_ENUMERATION_VERTICES:
-        raise TooLarge(f"{vertex_count(spec)} vertices exceeds the enumeration cap")
     labels = coloring.labels
     find = _first_star_conflict if spec.s == spec.r - 1 else _first_class_conflict
     pair = find(spec, labels)

@@ -52,6 +52,23 @@ def vertex_count(spec: GraphSpec) -> int:
     return math.comb(spec.n, spec.r)
 
 
+def capped_vertex_count(spec: GraphSpec, cap: int, what: str = "enumeration") -> int:
+    """C(n, r), or TooLarge when it exceeds cap, in O(log cap) steps.
+
+    The partial products C(n - k + i, i), k = min(r, n - r), at least double
+    with each i; past 2^64 * cap they stop and the message names C(n, r).
+    """
+    n, k, stop = spec.n, min(spec.r, spec.n - spec.r), (cap + 1) << 64
+    count, i = 1, 0
+    while i < k and count <= stop:
+        i += 1
+        count = count * (n - k + i) // i
+    if count > cap:
+        shown = count if i == k and count <= stop else f"C({n}, {spec.r})"
+        raise TooLarge(f"{shown} vertices exceeds the {what} cap {cap}")
+    return count
+
+
 def degree(spec: GraphSpec) -> int:
     """Common degree of every vertex, C(r, s) * C(n - r, r - s)."""
     return math.comb(spec.r, spec.s) * math.comb(spec.n - spec.r, spec.r - spec.s)
@@ -93,8 +110,7 @@ def unrank(spec: GraphSpec, k: int) -> RSubset:
 
 def vertices(spec: GraphSpec) -> list[RSubset]:
     """All vertices in colexicographic (rank) order."""
-    if vertex_count(spec) > MAX_ENUMERATION_VERTICES:
-        raise TooLarge(f"{vertex_count(spec)} vertices exceeds the enumeration cap")
+    capped_vertex_count(spec, MAX_ENUMERATION_VERTICES)
     return sorted(combinations(range(spec.n), spec.r), key=lambda t: t[::-1])
 
 
@@ -127,9 +143,7 @@ def edges(spec: GraphSpec) -> Iterator[tuple[int, int]]:
 
     Pairs come in ascending lexicographic order of (low rank, high rank).
     """
-    count = vertex_count(spec)
-    if count > MAX_ENUMERATION_VERTICES:
-        raise TooLarge(f"{count} vertices exceeds the enumeration cap")
+    count = capped_vertex_count(spec, MAX_ENUMERATION_VERTICES)
     for ru in range(count):
         u = unrank(spec, ru)
         for rv in sorted(rank(spec, w) for w in neighbors(spec, u)):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 # edges is unused here; perfbench/spans.py rebinds it when it traces a run.
-from .distgraph import GraphSpec, edges, vertex_count, vertices
+from .distgraph import GraphSpec, capped_vertex_count, edges, vertices
 from .errors import BadInput, InternalContradiction, TooLarge
 
 # One vertex cap per solver, sized for desk-scale searches: the DSATUR
@@ -57,9 +57,7 @@ class AdjacencyMatrix:
 
         s < r keeps the rows irreflexive.
         """
-        count = vertex_count(spec)
-        if count > ALPHA_MAX_VERTICES:
-            raise TooLarge(f"{count} vertices exceeds the matrix cap {ALPHA_MAX_VERTICES}")
+        count = capped_vertex_count(spec, ALPHA_MAX_VERTICES, "matrix")
         masks = [sum(1 << x for x in v) for v in vertices(spec)]
         s = spec.s
         rows = [sum(1 << j for j, b in enumerate(masks) if (a & b).bit_count() == s) for a in masks]
@@ -77,13 +75,13 @@ class AdjacencyMatrix:
 
 @dataclass(frozen=True)
 class SolveLimits:
-    """Search budgets; every field must be positive."""
+    """Search budgets; every field must be positive (NaN is not)."""
 
     max_nodes: int = 5_000_000
     time_budget: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.time_budget <= 0:
+        if not (self.max_nodes > 0 and self.time_budget > 0):
             raise BadInput("all solve limits must be positive")
 
 

@@ -132,9 +132,9 @@ def field_build(q: int, h: int) -> FieldSpec:
         raise NotPrime(f"{q} is not prime")
     if h < 2:
         raise BadInput(f"extension degree must be at least 2, got {h}")
+    if h >= FIELD_SIZE_CAP.bit_length() or q**h > FIELD_SIZE_CAP:  # q >= 2: no huge q^h
+        raise TooLarge(f"q^h = {q}^{h} exceeds the cap {FIELD_SIZE_CAP}")
     size = q**h
-    if size > FIELD_SIZE_CAP:
-        raise TooLarge(f"q^h = {size} exceeds the cap {FIELD_SIZE_CAP}")
     group = size - 1
     cofactors = [group // ell for ell in _prime_factors(group)]
     one = (1,) + (0,) * (h - 1)

@@ -134,9 +134,8 @@ def test_circle_graph_two_colorable_when_condition_holds_to_199():
     assert 7 in qualifying and 73 in qualifying
     for p in qualifying:
         bip = bipartition_circles(p)  # raises OddCycle on failure
-        for v, nbrs in enumerate(bip.graph.adjacency):
-            for w in nbrs:
-                assert bip.classes[v] != bip.classes[w]
+        for v, w in bip.graph.edges:
+            assert bip.classes[v] != bip.classes[w]
     _finish(t0, 10.0, f"circle graph 2-colored for all {len(qualifying)} qualifying p <= 199")
 
 

@@ -16,7 +16,7 @@ from distcolor.bounds import (
 )
 from distcolor.colorings import color_bose_chowla, color_sum, color_symmetric, color_theorem1
 from distcolor.distgraph import GraphSpec
-from distcolor.errors import InternalContradiction, OutOfValidity
+from distcolor.errors import InternalContradiction, OutOfValidity, TooLarge
 
 SOURCES = {"ineq1", "thm1", "thm2A", "thm2B", "thm3", "next_prime", "reference_eq2"}
 
@@ -115,6 +115,16 @@ def test_aggregate_degenerate_specs():
     assert aggregate(6, 1, 0).exact == 6  # complete graph
     report = aggregate(5, 5, 2)  # single vertex
     assert report.best_lower == 1
+
+
+def test_aggregate_size_caps():
+    # n <= 10^6 and r * bit_length(2n) <= 10^4; values stay below 2^10000
+    assert aggregate(10**6, 3, 2).best_upper <= 10**6
+    report = aggregate(1000, 909, 455)  # 909 * bit_length(2000) = 9999
+    assert max(b.value for b in report.upper) < 2**10000
+    for n, r in ((10**6 + 1, 1), (1000, 910), (20000, 10000), (4 * 10**6, 2 * 10**6)):
+        with pytest.raises(TooLarge):
+            aggregate(n, r, 0)
 
 
 def test_congruence_window_mod6():

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -155,9 +156,11 @@ def test_exact_exhausted_is_success(capsys):
 
 @pytest.mark.parametrize("budget", ["--max-nodes", "--time-budget"])
 def test_exact_rejects_zero_budget(capsys, budget):
-    code, out, err = run(capsys, "exact", "chi", "-n", "5", "-r", "3", "-s", "2", budget, "0")
-    assert code == 9 and out == ""
-    assert err.startswith("error: ")
+    # a NaN budget would never expire; --max-nodes nan is an argparse error
+    for value in ("0", "nan") if budget == "--time-budget" else ("0",):
+        code, out, err = run(capsys, "exact", "chi", "-n", "5", "-r", "3", "-s", "2", budget, value)
+        assert code == 9 and out == ""
+        assert err.startswith("error: ")
 
 
 def test_scan_condition(capsys):
@@ -193,18 +196,32 @@ def test_scan_condition_rows_match_validating_check(capsys):
     assert rows == expected
 
 
-# sha256 of stdout as produced by the full discrete-log walk and by a scan
-# that re-tested every sieved prime; the faster paths must match it byte
-# for byte
+# sha256 of stdout as produced by the full discrete-log walk, by a scan
+# that re-tested every sieved prime, and by a breadth-first two-coloring
+# of the circle graph; the faster paths must match it byte for byte
 PINNED_STDOUT = [
     (("bhset", "-q", "101", "--degree", "3"),
      "687130b7542169e124b25ab4fa027273062f7072b0491e34ebe3305532f1a8c9"),
     (("scan-condition", "--limit", "100000"),
      "45468cf4979759b6be288a2f428278fa24a1c75b8857c583b7c7ebb048d9bbc8"),
+    (("circles", "-p", "7"),
+     "26a4171bf54808e8a8532371a1290a894946ef2da07aadb0bf528cbffc8de4fc"),
+    (("circles", "-p", "23"),
+     "afd3fe146bdb5abf335f0b19b4774f2daf180a5e309a45c4221347a13114fa69"),
+    (("circles", "-p", "199"),
+     "7d9cdaead39ac94a2c7ffe9dccc0dd4c4e833d60826fcdf47d05badff179dae1"),
+    (("color", "--method", "theorem1", "-n", "9"),
+     "e7e869632d5a82e1799ac6905bae87c998cc84e7dd5e3e2bdac7e5901992f419"),
+    (("color", "--method", "theorem1", "-n", "33"),
+     "21f9b4c4b3bf5f5807494b40074142101abb05efffb8d824aa673930230b2025"),
+    (("color", "--method", "theorem1", "-n", "49"),
+     "b8c5ff5d1bd840ebc4ba05002d0dc68d76fec286465a37eefa1506b524f4c91e"),
 ]
+PINNED_IDS = ["bhset", "scan-condition", "circles-7", "circles-23", "circles-199"]
+PINNED_IDS += ["theorem1-9", "theorem1-33", "theorem1-49"]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=["bhset", "scan-condition"])
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=PINNED_IDS)
 def test_pinned_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -262,6 +279,42 @@ def test_circles_cap(capsys):
         assert err == f"error: circle prime {p} exceeds 1000\n"
     code, _, _ = run(capsys, "circles", "-p", "1000")  # within the cap, composite
     assert code == 6
+
+
+def test_huge_specs_end_in_one_error_line(capsys, tmp_path):
+    # each used to end in a ValueError traceback (C(n, r) past Python's
+    # 4300-digit int-to-str limit) or to run for minutes forming C(n, r)
+    commands = []
+    for n, r in ((20000, 10000), (4 * 10**6, 2 * 10**6)):
+        cert = tmp_path / f"huge{n}.json"
+        cert.write_text(json.dumps(
+            {"n": n, "r": r, "s": 0, "method": "sum", "palette_bound": 5, "labels": [0]}
+        ))
+        spec = ("-n", str(n), "-r", str(r))
+        commands += [
+            ("verify", str(cert)),
+            ("color", "--method", "sum", *spec),
+            ("exact", "chi", *spec, "-s", "0"),
+            ("bounds", *spec, "-s", "0"),
+            ("bounds", *spec, "-s", "0", "--format", "text"),
+        ]
+    commands += [
+        ("color", "--method", "bose-chowla", "-n", "20011", "-r", "10000", "-s", "0"),
+        ("color", "--method", "symmetric", "-n", "20011", "-r", "10000", "-s", "0"),
+        ("bhset", "-q", "3", "--degree", "1000000000"),
+    ]
+    for argv in commands:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 7 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_bounds_at_the_cap_prints(capsys):
+    # 909 * bit_length(2000) = 9999 is allowed, and its 3000-digit values print
+    code, out, _ = run(capsys, "bounds", "-n", "1000", "-r", "909", "-s", "455")
+    assert code == 0 and json.loads(out)["spec"] == {"n": 1000, "r": 909, "s": 455}
 
 
 def test_byte_identical_outputs(capsys):

@@ -1,6 +1,7 @@
 """Tests for circles, the pair functions, and all four colorings."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +29,16 @@ from distcolor.errors import (
     IncompleteColoring,
     NotPrime,
     OddCycle,
+    TooLarge,
     UnsupportedN,
 )
-from distcolor.numtheory import mod_inverse, multiplicative_order, primes_in_class
+from distcolor.numtheory import (
+    check_t1_condition,
+    mod_inverse,
+    multiplicative_order,
+    next_prime,
+    primes_in_class,
+)
 
 
 def odd_primes_to(limit):
@@ -78,14 +86,14 @@ def test_circle_closed_form():
 def test_circle_graph_p7():
     g = circle_graph(7)
     assert len(g.circles) == 14
-    assert all(len(nbrs) == 3 for nbrs in g.adjacency)
-    assert sum(len(nbrs) for nbrs in g.adjacency) // 2 == 21
+    assert all(sum(k in e for e in g.edges) == 3 for k in range(len(g.circles)))
+    assert len(g.edges) == 21
 
 
 def test_circle_graph_p11():
     g = circle_graph(11)
     assert len(g.circles) == 11  # order of 2 mod 11 is 10
-    assert sum(len(nbrs) for nbrs in g.adjacency) // 2 == 55
+    assert len(g.edges) == 55
 
 
 def test_circles_partition_per_parameter():
@@ -100,15 +108,17 @@ def test_bipartition_valid():
     for p in (7, 23):
         bip = bipartition_circles(p)
         assert set(bip.classes) <= {1, 2}
-        for v, nbrs in enumerate(bip.graph.adjacency):
-            for w in nbrs:
-                assert bip.classes[v] != bip.classes[w]
+        for v, w in bip.graph.edges:
+            assert bip.classes[v] != bip.classes[w]
 
 
 def test_bipartition_odd_cycle_when_condition_fails():
     # p = 5 violates the precondition (2^2 = -1); the graph is K5
-    with pytest.raises(OddCycle):
-        bipartition_circles(5)
+    failing = [p for p in odd_primes_to(199) if not check_t1_condition(p).condition_holds]
+    assert failing[:3] == [5, 11, 13] and len(failing) == 30
+    for p in failing:
+        with pytest.raises(OddCycle, match=f"odd cycle in the circle graph mod {p}$"):
+            bipartition_circles(p)
 
 
 def test_bipartition_deterministic():
@@ -257,6 +267,13 @@ def test_color_bose_chowla_h1_fallback():
     assert col.palette_bound == 5
     assert col.labels == color_sum(5, 3).labels
     assert verify_proper(col.spec, col) is None
+    # the n weights are not materialized before the vertex cap refuses the spec
+    tracemalloc.start()
+    with pytest.raises(TooLarge):
+        color_bose_chowla(next_prime(2 * 10**6), 2, 1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_bose_chowla_classes_intersect_below_s():

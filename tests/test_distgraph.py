@@ -4,10 +4,13 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from distcolor.distgraph import (
     GraphSpec,
     canonical,
+    capped_vertex_count,
     degree,
     edge_count,
     edges,
@@ -18,7 +21,7 @@ from distcolor.distgraph import (
     vertex_count,
     vertices,
 )
-from distcolor.errors import BadInput, OutOfRange
+from distcolor.errors import BadInput, OutOfRange, TooLarge
 
 
 def all_specs(n_max):
@@ -52,6 +55,43 @@ def test_rank_unrank_roundtrip():
         assert rank(spec, v) == k
         seen.add(v)
     assert seen == set(combinations(range(7), 3))
+
+
+@st.composite
+def rank_cases(draw):
+    n = draw(st.integers(1, 70))
+    r = draw(st.integers(1, n))
+    spec = GraphSpec(n, r, 0)
+    v = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=r, max_size=r))))
+    return spec, v, draw(st.integers(0, vertex_count(spec) - 1))
+
+
+@given(rank_cases())
+@example((GraphSpec(70, 35, 0), tuple(range(35, 70)), math.comb(70, 35) - 1))
+@example((GraphSpec(67, 33, 0), tuple(range(0, 66, 2)), 2**63))
+def test_rank_unrank_inverse_property(case):
+    # n <= 60 keeps every rank below 2^63 (C(60, 30) < 1.2e17); n <= 70
+    # reaches past it (C(67, 33) > 1.4e19), beyond any machine integer
+    spec, v, k = case
+    assert unrank(spec, rank(spec, v)) == v
+    assert rank(spec, unrank(spec, k)) == k
+
+
+def test_capped_vertex_count():
+    for spec in all_specs(12):
+        count = vertex_count(spec)
+        for cap in (count - 1, count, count + 1):
+            if count <= cap:
+                assert capped_vertex_count(spec, cap) == count
+            else:
+                with pytest.raises(TooLarge, match=rf"^{count} vertices exceeds the"):
+                    capped_vertex_count(spec, cap)
+    # refused after about 84 partial products, never forming C(n, r) itself
+    with pytest.raises(TooLarge, match=r"^C\(4000000, 2000000\) vertices exceeds the matrix"):
+        capped_vertex_count(GraphSpec(4 * 10**6, 2 * 10**6, 0), 500, "matrix")
+    huge_n = GraphSpec(10**4000, 2, 0)  # C(n, 2) has 8000 digits, too many to print
+    with pytest.raises(TooLarge, match=r"^C\(1000"):
+        capped_vertex_count(huge_n, 10**6)
 
 
 def test_rank_extremes():

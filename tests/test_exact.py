@@ -5,6 +5,8 @@ here (plain backtracking colorability, subset enumeration); larger ones
 against analytic certificates.
 """
 
+import math
+
 import pytest
 
 from distcolor.bounds import aggregate, counting_lower_bound, independence_upper_bound
@@ -234,6 +236,38 @@ def test_independence_line_graphs_match_matchings():
     # alpha of G(n, 2, 1) is the matching number floor(n / 2)
     for n in range(4, 15):
         assert exact_independence_number(from_spec(n, 2, 1)) == n // 2
+
+
+def test_independence_erdos_ko_rado():
+    # Erdos-Ko-Rado (1961): alpha(G(n, r, 0)) = C(n - 1, r - 1) for n >= 2r,
+    # the star of one element; every r >= 2 with C(n, r) <= 84
+    cases = 0
+    for r in range(2, 5):
+        for n in range(2 * r, 14):
+            if vertex_count(GraphSpec(n, r, 0)) > 84:
+                continue
+            assert exact_independence_number(from_spec(n, r, 0)) == math.comb(n - 1, r - 1), (n, r)
+            cases += 1
+    assert cases == 15
+
+
+def test_independence_spencer_packing_number():
+    # alpha(G(n, 3, 2)) is the packing number of triples on n points,
+    # D(n) = floor((n / 3) floor((n - 1) / 2)) - [n = 5 mod 6]
+    # (Schonheim 1966; Spencer 1968)
+    def packing(n):
+        return n * ((n - 1) // 2) // 3 - (n % 6 == 5)
+
+    assert [packing(n) for n in range(5, 10)] == [2, 4, 7, 8, 12]
+    for n in range(5, 10):
+        assert exact_independence_number(from_spec(n, 3, 2)) == packing(n), n
+
+
+def test_solve_limits_reject_non_positive_and_nan():
+    for max_nodes, time_budget in ((0, 1.0), (-1, 1.0), (10, 0.0), (10, -1.0), (10, math.nan)):
+        with pytest.raises(BadInput):
+            SolveLimits(max_nodes, time_budget)
+    assert SolveLimits(1, 1e-9).time_budget == 1e-9
 
 
 def test_kneser_chromatic_number_lovasz():

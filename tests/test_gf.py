@@ -91,6 +91,8 @@ def test_field_build_rejections():
     with pytest.raises(TooLarge):
         field_build(2, 21)
     assert 2**21 > FIELD_SIZE_CAP
+    with pytest.raises(TooLarge, match=r"q\^h = 3\^1000000000 exceeds"):
+        field_build(3, 10**9)  # 3^(10^9) would take minutes to form
 
 
 def test_field_axioms_exhaustive_small():
