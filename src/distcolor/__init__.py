@@ -44,6 +44,7 @@ from .distgraph import (
     is_edge,
     neighbors,
     rank,
+    root_orbits,
     unrank,
     vertex_count,
     vertices,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -27,7 +28,7 @@ from .colorings import (
     color_theorem1,
     verify_proper,
 )
-from .distgraph import GraphSpec, canonical
+from .distgraph import GraphSpec, canonical, root_orbits
 from .errors import BadInput, Error, TooLarge
 from .exact import (
     AdjacencyMatrix,
@@ -37,7 +38,8 @@ from .exact import (
     exact_independence_number,
 )
 from .gf import bose_chowla_set
-from .numtheory import _t1_report, check_t1_condition, primes_in_class
+# primes_in_class is unused here; perfbench/spans.py rebinds it when it traces a run.
+from .numtheory import _t1_report, check_t1_condition, factor_sieve, primes_in_class, sieve_factors
 
 EXIT_IMPROPER = 3
 
@@ -192,11 +194,14 @@ def cmd_exact(args: argparse.Namespace) -> int:
     # an isomorphic spec; chi and alpha, the only things reported, agree
     spec = canonical(spec)
     graph = AdjacencyMatrix.from_graph_spec(spec)
+    # G(n, r, s) is vertex-transitive, so both searches may fix vertex 0
+    orbits = root_orbits(spec)
     if args.which == "chi":
         seed = best_construction(spec)
-        result = exact_chromatic_number(graph, limits, None if seed is None else seed.labels)
+        labels = None if seed is None else seed.labels
+        result = exact_chromatic_number(graph, limits, labels, orbits)
     else:
-        result = exact_independence_number(graph, limits)
+        result = exact_independence_number(graph, limits, orbits)
     payload: dict = {"which": args.which, "n": args.n, "r": args.r, "s": args.s}
     if isinstance(result, Exhausted):
         payload["exhausted"] = {"lower": result.lower, "upper": result.upper}
@@ -218,12 +223,14 @@ def cmd_exact(args: argparse.Namespace) -> int:
 def cmd_scan_condition(args: argparse.Namespace) -> int:
     if args.limit > 10**6:
         raise TooLarge(f"scan limit {args.limit} exceeds 10^6")
+    least = factor_sieve(args.limit)
     rows = []
-    # the sieve proved these primes, so the report skips primality testing
-    for p in primes_in_class(args.limit, 0, 1):
-        if p <= 3:
+    # the sieve proves each prime and factors each p - 1, so the report
+    # skips both primality testing and trial division
+    for p in range(5, args.limit + 1):
+        if least[p]:
             continue
-        rep = _t1_report(p)
+        rep = _t1_report(p, sieve_factors(p - 1, least))
         rows.append(
             [
                 p,
@@ -289,7 +296,9 @@ def cmd_circles(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; main dispatches on its ``command``."""
     parser = argparse.ArgumentParser(
         prog="distcolor",
         description="Colorings, bounds, and exact solvers for the distance graphs G(n, r, s).",
@@ -302,12 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("-r", type=int)
     p_color.add_argument("-s", type=int)
     p_color.add_argument("--out", metavar="PATH")
-    p_color.set_defaults(func=cmd_color)
 
     p_verify = sub.add_parser("verify", help="re-verify a certificate JSON file")
     p_verify.add_argument("certificate", metavar="CERT.json")
     p_verify.add_argument("--out", metavar="PATH")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_bounds = sub.add_parser("bounds", help="aggregate chromatic-number bounds")
     p_bounds.add_argument("-n", type=int, required=True)
@@ -315,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("-s", type=int, required=True)
     p_bounds.add_argument("--format", choices=["json", "text"], default="json")
     p_bounds.add_argument("--out", metavar="PATH")
-    p_bounds.set_defaults(func=cmd_bounds)
 
     p_exact = sub.add_parser("exact", help="run an exact solver")
     p_exact.add_argument("which", choices=["chi", "alpha"])
@@ -326,37 +332,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--time-budget", type=float, default=SolveLimits.time_budget)
     p_exact.add_argument("--format", choices=["json", "text"], default="json")
     p_exact.add_argument("--out", metavar="PATH")
-    p_exact.set_defaults(func=cmd_exact)
 
     p_scan = sub.add_parser("scan-condition", help="CSV of the odd-order condition per prime")
     p_scan.add_argument("--limit", type=int, required=True)
     p_scan.add_argument("--out", metavar="PATH")
-    p_scan.set_defaults(func=cmd_scan_condition)
 
     p_table = sub.add_parser("table", help="CSV bounds table for G(n, 3, 2)")
     p_table.add_argument("--n-max", type=int, required=True)
     p_table.add_argument("--out", metavar="PATH")
-    p_table.set_defaults(func=cmd_table)
 
     p_bhset = sub.add_parser("bhset", help="emit a Bose-Chowla B_h set as JSON")
     p_bhset.add_argument("-q", type=int, required=True, help="prime base")
     p_bhset.add_argument("--degree", type=int, required=True, help="h, the sum length")
     p_bhset.add_argument("--out", metavar="PATH")
-    p_bhset.set_defaults(func=cmd_bhset)
 
     p_circles = sub.add_parser("circles", help="dump the circle graph mod p as JSON")
     p_circles.add_argument("-p", type=int, required=True)
     p_circles.add_argument("--out", metavar="PATH")
-    p_circles.set_defaults(func=cmd_circles)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up at call time, so a rebound cmd_* handler is the one called
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR_EXIT_CODES.get(type(exc), 1)

@@ -233,6 +233,11 @@ def color_theorem1(n: int) -> Coloring:
     The n = p + 1 case is the p + 2 coloring restricted to triples that
     avoid the largest ground element, so no relabeling is needed.
     """
+    # the cap comes first: on a huge n the prime search's trial division
+    # and the O(p) circle walk can run for hours; n < 3 has no spec and no
+    # qualifying prime
+    if n >= 3:
+        capped_vertex_count(GraphSpec(n, 3, 2), MAX_ENUMERATION_VERTICES)
     p = theorem1_prime(n)
     if p is None:
         raise UnsupportedN(f"no qualifying prime at n - 2 or n - 1 for n = {n}")

@@ -114,6 +114,23 @@ def vertices(spec: GraphSpec) -> list[RSubset]:
     return sorted(combinations(range(spec.n), spec.r), key=lambda t: t[::-1])
 
 
+def root_orbits(spec: GraphSpec) -> list[int]:
+    """Orbits of vertex 0's stabilizer on its non-neighbors, as rank bitmasks.
+
+    Vertex 0 is A = {0, ..., r-1}. The permutations of the ground set that
+    fix A form S_r x S_{n-r}; they keep t = |v ∩ A| and carry any r-set to
+    any other with the same t, so each class "t" is one orbit. The
+    non-neighbors of A other than A are the classes t < r with t != s.
+    One mask per nonempty class, in ascending t.
+    """
+    classes: dict[int, int] = {}
+    for k, v in enumerate(vertices(spec)):
+        t = sum(x < spec.r for x in v)
+        if t != spec.s and t < spec.r:
+            classes[t] = classes.get(t, 0) | 1 << k
+    return [classes[t] for t in sorted(classes)]
+
+
 def is_edge(spec: GraphSpec, u: RSubset, v: RSubset) -> bool:
     """True iff u and v are distinct and share exactly s elements."""
     return u != v and len(set(u) & set(v)) == spec.s

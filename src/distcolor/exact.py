@@ -141,6 +141,7 @@ def exact_chromatic_number(
     g: AdjacencyMatrix,
     limits: SolveLimits = SolveLimits(),
     initial: Sequence[int] | None = None,
+    root_orbits: Sequence[int] | None = None,
 ) -> int | Exhausted:
     """Exact chi(g) by DSATUR branch and bound.
 
@@ -153,12 +154,16 @@ def exact_chromatic_number(
     ``initial``, a color per vertex in 0..k-1, is re-checked and replaces
     the DSATUR incumbent when k is smaller; it only ever lowers the upper
     side. BadInput when its length is wrong or it is not proper.
+    ``root_orbits`` is re-checked and goes to the alpha probe; see
+    exact_independence_number.
     """
     if g.order > CHI_MAX_VERTICES:
         raise TooLarge(f"{g.order} vertices exceeds the chi solver cap {CHI_MAX_VERTICES}")
     n = g.order
     if n == 0:
         return 0
+    if root_orbits is not None:
+        _check_root_orbits(g, root_orbits)
     deadline = time.monotonic() + limits.time_budget
     clique = _greedy_clique(g)
     lb = len(clique)
@@ -174,7 +179,7 @@ def exact_chromatic_number(
             best, best_assign = k, seed
     if lb < best:
         probe = SolveLimits(max_nodes=200_000, time_budget=limits.time_budget)
-        alpha = exact_independence_number(g, probe)
+        alpha = exact_independence_number(g, probe, root_orbits)
         if not isinstance(alpha, Exhausted):
             lb = max(lb, -(-n // alpha))
     if lb >= best:
@@ -243,27 +248,63 @@ def _proper(g: AdjacencyMatrix, assign: list[int], k: int) -> bool:
     return not any(assign[v] == assign[w] for v in range(g.order) for w in _bits(g.rows[v]))
 
 
+def _relabel(mask: int, pos: dict[int, int]) -> int:
+    return sum(1 << pos[w] for w in _bits(mask))
+
+
+def _check_root_orbits(g: AdjacencyMatrix, root_orbits: Sequence[int]) -> None:
+    """BadInput unless the masks partition the non-neighbors of vertex 0."""
+    full = (1 << g.order) - 1
+    union = 0
+    for orbit in root_orbits:
+        if not 0 < orbit <= full or orbit & union:
+            raise BadInput("root orbits must be nonempty, disjoint masks of vertices")
+        union |= orbit
+    if union != full ^ g.rows[0] ^ 1:
+        raise BadInput("root orbits must cover exactly the non-neighbors of vertex 0")
+
+
 def exact_independence_number(
-    g: AdjacencyMatrix, limits: SolveLimits = SolveLimits()
+    g: AdjacencyMatrix,
+    limits: SolveLimits = SolveLimits(),
+    root_orbits: Sequence[int] | None = None,
 ) -> int | Exhausted:
     """Exact alpha(g) as a maximum clique search on the complement.
 
     Candidates are bounded by a greedy clique cover (a coloring of the
     complement subgraph), the standard bitset scheme. The certificate set
     is kept and re-checked before returning.
+
+    ``root_orbits`` passes in a symmetry that the solver cannot check: g
+    is vertex-transitive, and the masks are the orbits, on the
+    non-neighbors of vertex 0, of the automorphisms that fix vertex 0.
+    The search then fixes vertex 0 at depth 1 and, at depth 2, branches
+    once per orbit on its lowest member and drops the whole orbit from
+    the candidates before the next branch (orbital branching, Ostrowski,
+    Linderoth, Rossi and Smriglio, Math. Program. 126, 2011); deeper
+    levels run the plain search. This is sound: by transitivity some
+    maximum independent set I holds vertex 0. When |I| > 1, let O be the
+    first orbit that meets I. An automorphism fixing vertex 0 maps a
+    member of I ∩ O onto O's branch vertex and keeps every orbit as a
+    set, so the image of I is as large, holds both branch vertices and
+    avoids the orbits before O: the branch on O finds it. When |I| = 1,
+    the greedy incumbent already has size 1. BadInput when the masks do
+    not partition the non-neighbors of vertex 0.
     """
     if g.order > ALPHA_MAX_VERTICES:
         raise TooLarge(f"{g.order} vertices exceeds the alpha solver cap {ALPHA_MAX_VERTICES}")
     n = g.order
     if n == 0:
         return 0
+    if root_orbits is not None:
+        _check_root_orbits(g, root_orbits)
     full = (1 << n) - 1
     # clique search on the complement; relabel by descending complement
     # degree, which sharpens the greedy clique-cover bound
     comp0 = [~g.rows[v] & (full ^ (1 << v)) for v in range(n)]
     label = sorted(range(n), key=lambda v: (-comp0[v].bit_count(), v))
     pos = {v: i for i, v in enumerate(label)}
-    comp = [sum(1 << pos[w] for w in _bits(comp0[v])) for v in label]
+    comp = [_relabel(comp0[v], pos) for v in label]
 
     # greedy independent set in g (original labels), lowest degree first
     chosen_mask = 0
@@ -273,7 +314,7 @@ def exact_independence_number(
             chosen_mask |= 1 << v
             blocked |= g.rows[v] | (1 << v)
     best = chosen_mask.bit_count()
-    best_mask = sum(1 << pos[v] for v in range(n) if chosen_mask >> v & 1)
+    best_mask = _relabel(chosen_mask, pos)
 
     deadline = time.monotonic() + limits.time_budget
     nodes = 0
@@ -316,7 +357,17 @@ def exact_independence_number(
                 return
             cand ^= 1 << v
 
-    expand(0, full, 0)
+    if root_orbits is None:
+        expand(0, full, 0)
+    else:
+        root = pos[0]
+        live = comp[root]
+        for orbit in (_relabel(o, pos) for o in root_orbits):
+            v = (orbit & -orbit).bit_length() - 1
+            expand(2, live & comp[v], 1 << root | 1 << v)
+            if hit:
+                break
+            live ^= orbit
     result_mask = sum(1 << label[i] for i in range(n) if best_mask >> i & 1)
     if not _independent(g, result_mask) or result_mask.bit_count() != best:
         raise InternalContradiction(f"the incumbent is not an independent set of size {best}")

@@ -7,9 +7,12 @@ witness set, no probabilistic error).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from math import isqrt
+from typing import Sequence
 
-from .errors import InvalidPrime, NotCoprime, ZeroDivisor
+from .errors import InvalidPrime, NotCoprime, TooLarge, ZeroDivisor
 
 # Witness set proven complete for all n < 3.3 * 10^24, far past 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -79,10 +82,14 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _order(a: int, p: int) -> int:
-    """Least k >= 1 with a^k = 1 mod p, for a prime p and a unit a mod p."""
+def _order(a: int, p: int, factors: Sequence[int] | None = None) -> int:
+    """Least k >= 1 with a^k = 1 mod p, for a prime p and a unit a mod p.
+
+    ``factors``, the distinct primes dividing p - 1 when the caller has
+    them, spares the trial division.
+    """
     order = p - 1
-    for q in _prime_factors(p - 1):
+    for q in _prime_factors(p - 1) if factors is None else factors:
         while order % q == 0 and pow(a, order // q, p) == 1:
             order //= q
     return order
@@ -108,13 +115,14 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
-def _t1_report(p: int) -> ConditionReport:
+def _t1_report(p: int, factors: Sequence[int] | None = None) -> ConditionReport:
     """The odd-order report for a p already known to be a prime > 3.
 
     -1 lies in the cyclic group generated by 2 iff the order d of 2 is
     even and 2^(d/2) = -1, so only one exponent needs checking.
+    ``factors`` is passed to ``_order``.
     """
-    d = _order(2, p)
+    d = _order(2, p, factors)
     if d % 2 == 0 and pow(2, d // 2, p) == p - 1:
         return ConditionReport(p, d, False, d // 2)
     return ConditionReport(p, d, True, None)
@@ -139,22 +147,40 @@ def theorem1_prime(n: int) -> int | None:
     return None
 
 
-def _sieve(limit: int) -> bytearray:
-    """Byte array marking primality of 0..limit."""
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return flags
+def factor_sieve(limit: int) -> array:
+    """The least prime factor of each of 0..limit, 0 at 0, 1 and every prime.
+
+    A composite m <= limit has a prime factor <= isqrt(limit), so for
+    limit < 2^32 every entry fits the 16-bit array: 2 bytes per number.
+    The primes up to isqrt(limit) come from a smaller sieve; they are
+    written largest first, so the least factor is written last.
+    """
+    if limit >= 1 << 32:
+        raise TooLarge(f"factor sieve limit {limit} is not below 2^32")
+    least = array("H", bytes(2 * max(limit + 1, 0)))
+    for q in reversed(primes_in_class(isqrt(max(limit, 0)), 0, 1)):
+        least[q * q :: q] = array("H", [q]) * len(range(q * q, limit + 1, q))
+    return least
+
+
+def sieve_factors(m: int, least: array) -> list[int]:
+    """Distinct prime factors of m >= 1, ascending, from a factor_sieve covering m."""
+    out = []
+    while m > 1:
+        q = least[m] or m
+        out.append(q)
+        m //= q
+        while m % q == 0:
+            m //= q
+    return out
 
 
 def primes_in_class(limit: int, residue: int, modulus: int) -> list[int]:
     """Ascending primes p <= limit with p = residue mod modulus."""
     if limit < 2:
         return []
-    flags = _sieve(limit)
-    return [p for p in range(2, limit + 1) if flags[p] and p % modulus == residue]
+    least = factor_sieve(limit)
+    return [p for p in range(2, limit + 1) if not least[p] and p % modulus == residue]
 
 
 def next_prime(m: int) -> int:

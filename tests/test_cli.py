@@ -132,6 +132,15 @@ def test_exact_solves_the_complement_spec(capsys):
     assert code == 0 and out == "alpha(G(9, 7, 6)) = 4\n"
 
 
+def test_exact_branches_on_the_root_orbits(capsys):
+    # both ran out of nodes before the search fixed vertex 0 and branched
+    # once per orbit; 13 is Spencer's packing number D(10)
+    code, out, _ = run(capsys, "exact", "alpha", "-n", "10", "-r", "3", "-s", "2", "--format", "text")
+    assert code == 0 and out == "alpha(G(10, 3, 2)) = 13\n"
+    code, out, _ = run(capsys, "exact", "chi", "-n", "10", "-r", "3", "-s", "2", "--format", "text")
+    assert code == 0 and out == "chi(G(10, 3, 2)) = 10\n"
+
+
 def test_exact_internal_contradiction_exit_code(capsys, monkeypatch):
     # no construction seeds G(6, 2, 0), so only the final re-check fails
     monkeypatch.setattr(exact, "_proper", lambda g, assign, k: False)
@@ -302,6 +311,8 @@ def test_huge_specs_end_in_one_error_line(capsys, tmp_path):
         ("color", "--method", "bose-chowla", "-n", "20011", "-r", "10000", "-s", "0"),
         ("color", "--method", "symmetric", "-n", "20011", "-r", "10000", "-s", "0"),
         ("bhset", "-q", "3", "--degree", "1000000000"),
+        # refused before the search for a qualifying prime near 10^18
+        ("color", "--method", "theorem1", "-n", "1000000000000007245"),
     ]
     for argv in commands:
         t0 = time.perf_counter()

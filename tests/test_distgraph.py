@@ -1,7 +1,7 @@
 """Tests for vertex ranking and adjacency of G(n, r, s)."""
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given
@@ -17,6 +17,7 @@ from distcolor.distgraph import (
     is_edge,
     neighbors,
     rank,
+    root_orbits,
     unrank,
     vertex_count,
     vertices,
@@ -189,3 +190,25 @@ def test_canonical_complement_isomorphism():
             for j in range(i + 1, len(verts)):
                 assert is_edge(spec, u, verts[j]) == is_edge(image, comp[i], comp[j]), spec
 
+
+
+def test_root_orbits_are_the_stabilizer_orbits():
+    # brute force: apply every permutation of the ground set that fixes
+    # vertex 0 = {0, ..., r - 1} to each of its non-neighbors
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            for s in range(r):
+                spec = GraphSpec(n, r, s)
+                verts = vertices(spec)
+                index = {v: k for k, v in enumerate(verts)}
+                root = set(verts[0])
+                fixing = [p for p in permutations(range(n)) if {p[x] for x in root} == root]
+                orbits = {
+                    sum(1 << k for k in {index[tuple(sorted(p[x] for x in v))] for p in fixing})
+                    for v in verts[1:]
+                    if len(root & set(v)) != s
+                }
+                got = root_orbits(spec)
+                assert sorted(got) == sorted(orbits), spec
+                meet = [len(root & set(verts[(m & -m).bit_length() - 1])) for m in got]
+                assert meet == sorted(set(meet)), spec  # ascending t

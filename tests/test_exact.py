@@ -11,7 +11,7 @@ import pytest
 
 from distcolor.bounds import aggregate, counting_lower_bound, independence_upper_bound
 from distcolor.colorings import best_construction
-from distcolor.distgraph import GraphSpec, canonical, edges, vertex_count, vertices
+from distcolor.distgraph import GraphSpec, canonical, edges, root_orbits, vertex_count, vertices
 from distcolor.errors import BadInput, InternalContradiction, TooLarge
 from distcolor import exact
 from distcolor.exact import (
@@ -330,6 +330,59 @@ def test_unseeded_node_counts_pinned():
     assert exact_chromatic_number(g, limits(32)) == Exhausted(lower=9, upper=11)
     assert exact_chromatic_number(g, limits(33)) == Exhausted(lower=9, upper=10)
     assert exact_chromatic_number(g, limits(1000)) == Exhausted(lower=9, upper=10)
+
+
+def test_root_orbit_search_matches_plain_search():
+    # the window of test_from_graph_spec_matches_edge_stream; the chi
+    # searches share a node budget, and their alpha probes set the lower
+    # side, so a probe that differs shows as a different result
+    limits = SolveLimits(max_nodes=1000, time_budget=1e9)
+    cases = 0
+    for n in range(1, 15):
+        for r in range(1, n + 1):
+            if vertex_count(GraphSpec(n, r, 0)) > 84:
+                continue
+            for s in range(r):
+                spec = GraphSpec(n, r, s)
+                g = AdjacencyMatrix.from_graph_spec(spec)
+                orbits = root_orbits(spec)
+                alpha = exact_independence_number(g)
+                assert exact_independence_number(g, root_orbits=orbits) == alpha, spec
+                chi = exact_chromatic_number(g, limits)
+                assert exact_chromatic_number(g, limits, root_orbits=orbits) == chi, spec
+                cases += 1
+    assert cases == 322
+
+
+def test_root_orbits_cut_the_alpha_search():
+    # the plain search visits 70,566 nodes on G(10, 4, 2), the orbit search
+    # 306, and 712 when it keeps each orbit after branching on it
+    spec = GraphSpec(10, 4, 2)
+    g = AdjacencyMatrix.from_graph_spec(spec)
+    limits = SolveLimits(max_nodes=500, time_budget=1e9)
+    assert isinstance(exact_independence_number(g, limits), Exhausted)
+    assert exact_independence_number(g, limits, root_orbits(spec)) == 12
+
+
+def test_root_orbits_must_partition_the_non_neighbors():
+    spec = GraphSpec(7, 3, 1)
+    g = AdjacencyMatrix.from_graph_spec(spec)
+    far, near = root_orbits(spec)  # 0 and 2 elements of {0, 1, 2}
+    low = far & -far
+    neighbor = g.rows[0] & -g.rows[0]
+    bad = [
+        [far, near | low],  # overlap
+        [far ^ low, near],  # a non-neighbor missed
+        [far | neighbor, near],  # a neighbor included
+        [far | 1, near],  # vertex 0 included
+        [far, near, 0],  # an empty orbit
+        [far, near, 1 << g.order],  # a vertex out of range
+    ]
+    for orbits in bad:
+        with pytest.raises(BadInput):
+            exact_independence_number(g, root_orbits=orbits)
+        with pytest.raises(BadInput):
+            exact_chromatic_number(g, root_orbits=orbits)
 
 
 def test_certificate_rechecks_raise(monkeypatch):

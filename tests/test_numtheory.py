@@ -6,15 +6,18 @@ naive repeated multiplication, and brute-force power enumeration.
 
 import pytest
 
-from distcolor.errors import InvalidPrime, NotCoprime, ZeroDivisor
+from distcolor.errors import InvalidPrime, NotCoprime, TooLarge, ZeroDivisor
 from distcolor.numtheory import (
+    _prime_factors,
     check_t1_condition,
+    factor_sieve,
     is_prime,
     legendre_symbol,
     mod_inverse,
     multiplicative_order,
     next_prime,
     primes_in_class,
+    sieve_factors,
     theorem1_prime,
 )
 
@@ -170,3 +173,16 @@ def test_theorem1_prime_matches_candidate_scan():
         assert theorem1_prime(n) == (qualifying[0] if qualifying else None), n
     assert theorem1_prime(9) == theorem1_prime(8) == 7
     assert theorem1_prime(7) is None  # 5 fails the condition, 6 is composite
+
+
+def test_factor_sieve_matches_trial_division():
+    least = factor_sieve(20000)
+    assert len(least) == 20001 and least.itemsize == 2
+    for m in range(20001):
+        assert (least[m] == 0) == (m < 2 or trial_division_prime(m)), m
+        if m:
+            assert sieve_factors(m, least) == _prime_factors(m), m
+    assert list(factor_sieve(3)) == [0, 0, 0, 0]
+    assert len(factor_sieve(0)) == 1 and len(factor_sieve(-5)) == 0
+    with pytest.raises(TooLarge):
+        factor_sieve(1 << 32)

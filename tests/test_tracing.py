@@ -11,6 +11,8 @@ under ``perfbench/``.
 import importlib.util
 from pathlib import Path
 
+from distcolor import cli
+
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -24,6 +26,8 @@ def load_spans():
 def test_tracer_installs_and_records_spans(capsys):
     spans = load_spans()
     tracer = spans.Tracer()
+    # builds the cached parser before the handlers are rebound
+    assert cli.main(["bounds", "-n", "5", "-r", "3", "-s", "2"]) == 0
     commands = [
         ["exact", "chi", "-n", "5", "-r", "3", "-s", "2"],
         ["color", "--method", "sum", "-n", "5", "-r", "3"],
@@ -37,6 +41,8 @@ def test_tracer_installs_and_records_spans(capsys):
     for name in (
         "cli.main",
         "cli.cmd_exact",
+        "cli.cmd_color",
+        "cli.cmd_bounds",
         "exact.from_graph_spec",
         "exact.exact_chromatic_number",
         "colorings.color_sum",
