@@ -93,25 +93,61 @@ class Exhausted:
     upper: int | None = None
 
 
+def _by_degree(rows: Sequence[int]) -> tuple[list[int], dict[int, int], list[int]]:
+    """Relabel by descending degree, ties to the lower vertex.
+
+    New vertex i is old vertex label[i]; returns label, its inverse pos
+    and the relabeled rows.
+    """
+    label = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
+    pos = {v: i for i, v in enumerate(label)}
+    return label, pos, [_relabel(rows[v], pos) for v in label]
+
+
+def _pick(uncolored: int, planes: Sequence[int]) -> int:
+    """Bit of the lowest uncolored vertex of highest saturation (bit i in planes[i])."""
+    for plane in reversed(planes):
+        if uncolored & plane:
+            uncolored &= plane
+    return uncolored & -uncolored
+
+
+def _increment(planes: list[int], mask: int) -> list[int]:
+    """Bit-sliced counters plus one at each vertex of mask, by ripple carry."""
+    planes = planes[:]
+    i = 0
+    while mask:
+        plane = planes[i]
+        planes[i] = plane ^ mask
+        mask &= plane
+        i += 1
+    return planes
+
+
 def _dsatur_assignment(g: AdjacencyMatrix) -> list[int]:
-    """Greedy coloring in saturation-degree order; returns color per vertex."""
-    n = g.order
-    colors = [-1] * n
-    nbr_masks = [0] * n
-    degrees = [row.bit_count() for row in g.rows]
-    for _ in range(n):
-        pick, key = -1, (-1, -1)
-        for v in range(n):
-            if colors[v] < 0:
-                k = (nbr_masks[v].bit_count(), degrees[v])
-                if k > key:
-                    pick, key = v, k
-        c = 0
-        while nbr_masks[pick] >> c & 1:
-            c += 1
-        colors[pick] = c
-        for w in _bits(g.rows[pick]):
-            nbr_masks[w] |= 1 << c
+    """Greedy coloring in saturation-degree order; returns color per vertex.
+
+    The pick is the one exact_chromatic_number branches on: highest
+    saturation, then highest degree, then lowest vertex.
+    """
+    label, _, rows = _by_degree(g.rows)
+    colors = [0] * g.order
+    # forbid[c]: the vertices with a neighbor colored c; the last mask
+    # stays empty, so the search for a free color always ends
+    forbid = [0]
+    # a saturation never exceeds the degree
+    planes = [0] * max(map(int.bit_count, rows), default=0).bit_length()
+    uncolored = (1 << g.order) - 1
+    while uncolored:
+        low = _pick(uncolored, planes)
+        uncolored ^= low
+        v = low.bit_length() - 1
+        c = next(c for c, mask in enumerate(forbid) if not mask & low)
+        if c == len(forbid) - 1:
+            forbid.append(0)
+        planes = _increment(planes, rows[v] & ~forbid[c])
+        forbid[c] |= rows[v]
+        colors[label[v]] = c
     return colors
 
 
@@ -185,55 +221,55 @@ def exact_chromatic_number(
     if lb >= best:
         return best
 
-    colors = [-1] * n
-    nbr_masks = [0] * n
-    adj = [list(_bits(row)) for row in g.rows]
+    # the masks use _by_degree labels, where the lowest set bit is the
+    # DSATUR tie-break: highest degree, then lowest vertex; colors keeps
+    # the caller's labels
+    label, pos, rows = _by_degree(g.rows)
+    colors = [0] * n
+    forbid = [0] * (best - 1)  # forbid[c]: the vertices with a neighbor colored c
+    # planes[i] holds bit i of every vertex's saturation, the number of
+    # forbid masks that hold it. Every color stays below the starting
+    # best - 1 (the clique's lb < best, and branching keeps c < best - 1),
+    # so no saturation passes best - 1 and the planes never overflow.
+    planes = [0] * (best - 1).bit_length()
+    uncolored = (1 << n) - 1
     for idx, v in enumerate(clique):
         colors[v] = idx
-        for w in adj[v]:
-            nbr_masks[w] |= 1 << idx
-    # DSATUR key (saturation, degree) packed as saturation * n + degree
-    score = [nbr_masks[v].bit_count() * n + g.rows[v].bit_count() for v in range(n)]
+        planes = _increment(planes, rows[pos[v]] & ~forbid[idx])
+        forbid[idx] |= rows[pos[v]]
+        uncolored ^= 1 << pos[v]
     nodes = 0
     hit = False
 
-    def walk(used: int, uncolored: tuple[int, ...]) -> None:
+    def walk(used: int, uncolored: int, planes: list[int]) -> None:
         nonlocal best, best_assign, nodes, hit
         if hit or best == lb:
             return
         if not uncolored:
-            best = used  # branching already kept used < best
+            best = used
             best_assign = colors[:]
             return
         nodes += 1
         if nodes > limits.max_nodes or (nodes & 0xFF == 0 and time.monotonic() > deadline):
             hit = True
             return
-        # uncolored holds the uncolored vertices in ascending order; max
-        # keeps the first of equal keys, so ties go to the lowest vertex
-        pick = max(uncolored, key=score.__getitem__)
-        i = uncolored.index(pick)
-        rest = uncolored[:i] + uncolored[i + 1 :]
+        low = _pick(uncolored, planes)
+        pick = low.bit_length() - 1
+        rest = uncolored ^ low
+        row = rows[pick]
+        v = label[pick]
         for c in range(min(used + 1, best - 1)):
-            if nbr_masks[pick] >> c & 1:
+            old = forbid[c]
+            if old & low:
                 continue
-            colors[pick] = c
-            bit = 1 << c
-            touched = []
-            for w in adj[pick]:
-                if colors[w] < 0 and not nbr_masks[w] & bit:
-                    nbr_masks[w] |= bit
-                    score[w] += n
-                    touched.append(w)
-            walk(max(used, c + 1), rest)
-            for w in touched:
-                nbr_masks[w] ^= bit
-                score[w] -= n
-            colors[pick] = -1
+            colors[v] = c
+            forbid[c] = old | row
+            walk(max(used, c + 1), rest, _increment(planes, row & ~old))
+            forbid[c] = old
             if hit or best == lb:
                 return
 
-    walk(len(clique), tuple(v for v in range(n) if colors[v] < 0))
+    walk(len(clique), uncolored, planes)
     if not _proper(g, best_assign, best):
         raise InternalContradiction(f"the incumbent is not a proper {best}-coloring")
     if hit:
@@ -301,10 +337,7 @@ def exact_independence_number(
     full = (1 << n) - 1
     # clique search on the complement; relabel by descending complement
     # degree, which sharpens the greedy clique-cover bound
-    comp0 = [~g.rows[v] & (full ^ (1 << v)) for v in range(n)]
-    label = sorted(range(n), key=lambda v: (-comp0[v].bit_count(), v))
-    pos = {v: i for i, v in enumerate(label)}
-    comp = [_relabel(comp0[v], pos) for v in label]
+    label, pos, comp = _by_degree([~g.rows[v] & (full ^ (1 << v)) for v in range(n)])
 
     # greedy independent set in g (original labels), lowest degree first
     chosen_mask = 0

@@ -332,6 +332,19 @@ def test_unseeded_node_counts_pinned():
     assert exact_chromatic_number(g, limits(1000)) == Exhausted(lower=9, upper=10)
 
 
+def test_solve_workload_node_count_pinned():
+    # exact chi -n 11 -r 2 -s 0 has no construction seed; its DSATUR search
+    # refutes 8-colorings in 224,186 nodes, counted before the bit-parallel
+    # kernel replaced the per-neighbor search
+    spec = canonical(GraphSpec(11, 2, 0))
+    assert best_construction(spec) is None
+    g = AdjacencyMatrix.from_graph_spec(spec)
+    orbits = root_orbits(spec)
+    limits = lambda nodes: SolveLimits(max_nodes=nodes, time_budget=1e9)  # noqa: E731
+    assert exact_chromatic_number(g, limits(224185), None, orbits) == Exhausted(lower=6, upper=9)
+    assert exact_chromatic_number(g, limits(224186), None, orbits) == 9
+
+
 def test_root_orbit_search_matches_plain_search():
     # the window of test_from_graph_spec_matches_edge_stream; the chi
     # searches share a node budget, and their alpha probes set the lower
