@@ -243,7 +243,7 @@ def exact_chromatic_number(
 
     def walk(used: int, uncolored: int, planes: list[int]) -> None:
         nonlocal best, best_assign, nodes, hit
-        if hit or best == lb:
+        if used >= best:
             return
         if not uncolored:
             best = used

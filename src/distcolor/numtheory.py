@@ -118,12 +118,12 @@ def legendre_symbol(a: int, p: int) -> int:
 def _t1_report(p: int, factors: Sequence[int] | None = None) -> ConditionReport:
     """The odd-order report for a p already known to be a prime > 3.
 
-    -1 lies in the cyclic group generated by 2 iff the order d of 2 is
-    even and 2^(d/2) = -1, so only one exponent needs checking.
-    ``factors`` is passed to ``_order``.
+    Z_p^* is cyclic, so -1 is its only element of order 2. If the order d
+    of 2 is even, 2^(d/2) = -1, and d/2 is least as 2^k = -1 forces d | 2k;
+    if d is odd, no power of 2 has order 2. ``factors`` goes to ``_order``.
     """
     d = _order(2, p, factors)
-    if d % 2 == 0 and pow(2, d // 2, p) == p - 1:
+    if d % 2 == 0:
         return ConditionReport(p, d, False, d // 2)
     return ConditionReport(p, d, True, None)
 

@@ -57,6 +57,18 @@ def test_color_unsupported_n_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--method", "sum", "-n", "5"], "method sum needs -r"),
+        (["--method", "bose-chowla", "-n", "5", "-r", "3"], "method bose-chowla needs -r and -s"),
+    ],
+)
+def test_color_missing_parameters_exit_code(capsys, argv, message):
+    code, out, err = run(capsys, "color", *argv)
+    assert (code, out, err) == (9, "", f"error: {message}\n")
+
+
 def test_color_not_prime_exit_code(capsys):
     code, _, _ = run(capsys, "color", "--method", "symmetric", "-n", "6", "-r", "3", "-s", "1")
     assert code == 5
@@ -161,6 +173,23 @@ def test_exact_exhausted_is_success(capsys):
     assert code == 0
     data = json.loads(out)
     assert "exhausted" in data and data["exhausted"]["lower"] <= data["exhausted"]["upper"]
+
+
+def test_exact_exhausted_text(capsys):
+    # alpha's budget runs out inside the root-orbit loop, which then stops
+    argv = ["-n", "11", "-r", "2", "-s", "0", "--max-nodes", "1", "--format", "text"]
+    code, out, err = run(capsys, "exact", "chi", *argv)
+    assert (code, out, err) == (0, "chi(G(11, 2, 0)) unresolved: in [6, 11]\n", "")
+    argv = ["-n", "10", "-r", "4", "-s", "2", "--max-nodes", "10", "--format", "text"]
+    code, out, err = run(capsys, "exact", "alpha", *argv)
+    assert (code, out, err) == (0, "alpha(G(10, 4, 2)) unresolved: in [12, ?]\n", "")
+
+
+def test_unwritable_out_path_exit_code(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "bounds", "-n", "9", "-r", "3", "-s", "2", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
 
 @pytest.mark.parametrize("budget", ["--max-nodes", "--time-budget"])

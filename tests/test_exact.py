@@ -80,6 +80,11 @@ def test_adjacency_validation():
         AdjacencyMatrix(1, (0, 0))
 
 
+def test_adjacency_rejects_bits_outside_the_vertex_range():
+    with pytest.raises(BadInput, match="row 0 has bits outside the vertex range"):
+        AdjacencyMatrix(2, (4, 0))
+
+
 def test_chromatic_trivial():
     assert exact_chromatic_number(AdjacencyMatrix.complete(4)) == 4
     assert exact_chromatic_number(from_spec(4, 1, 0)) == 4  # same graph, built from a spec
@@ -334,15 +339,16 @@ def test_unseeded_node_counts_pinned():
 
 def test_solve_workload_node_count_pinned():
     # exact chi -n 11 -r 2 -s 0 has no construction seed; its DSATUR search
-    # refutes 8-colorings in 224,186 nodes, counted before the bit-parallel
-    # kernel replaced the per-neighbor search
+    # refutes 8-colorings in 218,131 nodes. Before the walk pruned branches
+    # that use as many colors as the live incumbent it took 224,186, the
+    # count of both the per-neighbor search and the bit-parallel kernel
     spec = canonical(GraphSpec(11, 2, 0))
     assert best_construction(spec) is None
     g = AdjacencyMatrix.from_graph_spec(spec)
     orbits = root_orbits(spec)
     limits = lambda nodes: SolveLimits(max_nodes=nodes, time_budget=1e9)  # noqa: E731
-    assert exact_chromatic_number(g, limits(224185), None, orbits) == Exhausted(lower=6, upper=9)
-    assert exact_chromatic_number(g, limits(224186), None, orbits) == 9
+    assert exact_chromatic_number(g, limits(218130), None, orbits) == Exhausted(lower=6, upper=9)
+    assert exact_chromatic_number(g, limits(218131), None, orbits) == 9
 
 
 def test_root_orbit_search_matches_plain_search():

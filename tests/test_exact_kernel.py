@@ -1,12 +1,14 @@
 """The bit-parallel DSATUR kernel against the per-neighbor search it replaced.
 
-reference_chromatic_number and reference_dsatur_assignment are verbatim
-copies of the per-neighbor DSATUR solver (per-vertex color masks, a
-packed (saturation, degree) score and a max() pick over a tuple of
-uncolored vertices). The kernel must visit the same search tree, node
-for node; the check is equal results, Exhausted bounds included, at every
-node budget of a Fibonacci sweep, on regular G(n, r, s), Mycielski graphs
-and irregular graphs where the degree tie-break decides picks.
+reference_chromatic_number and reference_dsatur_assignment are copies of
+the per-neighbor DSATUR solver (per-vertex color masks, a packed
+(saturation, degree) score and a max() pick over a tuple of uncolored
+vertices). The reference shares the kernel's pruning rule: its walk
+enters no branch that already uses as many colors as the incumbent. The
+kernel must visit the same search tree, node for node; the check is
+equal results, Exhausted bounds included, at every node budget of a
+Fibonacci sweep, on regular G(n, r, s), Mycielski graphs and irregular
+graphs where the degree tie-break decides picks.
 """
 
 import random
@@ -118,7 +120,7 @@ def reference_chromatic_number(
 
     def walk(used: int, uncolored: tuple[int, ...]) -> None:
         nonlocal best, best_assign, nodes, hit
-        if hit or best == lb:
+        if used >= best:
             return
         if not uncolored:
             best = used  # branching already kept used < best
@@ -265,3 +267,53 @@ def test_kernel_matches_reference_on_irregular_graphs(name):
     assert len(set(degrees)) > 1 and degrees != sorted(degrees, reverse=True), name
     assert_same_greedy(g, name)
     assert_same_search(g, name)
+
+
+def interval(result):
+    # a resolved value v is the interval [v, v]; alpha has no upper side
+    if isinstance(result, Exhausted):
+        return result.lower, result.upper
+    return result, result
+
+
+def assert_more_budget_never_worse(g, name):
+    # along the Fibonacci budgets, each report nests inside the one before:
+    # chi's lower side never falls and its upper side never rises, and
+    # alpha's lower side never falls
+    for solve in (exact_chromatic_number, exact_independence_number):
+        lower, upper = 0, None
+        for budget in fibonacci_budgets():
+            result = solve(g, SolveLimits(max_nodes=budget, time_budget=1e9))
+            low, up = interval(result)
+            assert low >= lower, (name, solve.__name__, budget)
+            if upper is not None:
+                assert up <= upper, (name, solve.__name__, budget)
+            lower, upper = low, up
+            if not isinstance(result, Exhausted):
+                break
+
+
+def test_more_budget_never_gives_a_worse_report():
+    graphs = {
+        (n, r, s): AdjacencyMatrix.from_graph_spec(GraphSpec(n, r, s))
+        for n in range(2, 13)
+        for r in range(1, n + 1)
+        if vertex_count(GraphSpec(n, r, 0)) <= 40
+        for s in range(r)
+    }
+    graphs.update({f"M{k}": mycielski(k) for k in (3, 4, 5)})
+    graphs.update(IRREGULAR)
+    graphs.update({args: random_graph(*args) for args in [(24, 0.6, 36), (28, 0.6, 45)]})
+    for name, g in graphs.items():
+        assert_more_budget_never_worse(g, name)
+
+
+@pytest.mark.parametrize("args, nodes", [((24, 0.6, 36), 18), ((28, 0.6, 45), 40)])
+def test_lowered_incumbent_prunes_its_siblings(args, nodes):
+    # before siblings were pruned on the live incumbent, (24, 0.6, 36)
+    # reported upper 7 at budgets 48-59, 8 from 60 to 636 and resolved at
+    # 637 nodes; (28, 0.6, 45) resolved at 169
+    g = random_graph(*args)
+    limits = lambda nodes: SolveLimits(max_nodes=nodes, time_budget=1e9)  # noqa: E731
+    assert isinstance(exact_chromatic_number(g, limits(nodes - 1)), Exhausted)
+    assert exact_chromatic_number(g, limits(nodes)) == 7
