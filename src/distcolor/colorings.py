@@ -121,8 +121,14 @@ def _require_odd_prime_gt3(p: int) -> None:
         raise InvalidPrime(f"need a prime p > 3, got {p}")
 
 
+def _least_first(pts: list[int]) -> tuple[int, ...]:
+    """A cyclic sequence rotated to start at its smallest member."""
+    lo = pts.index(min(pts))
+    return tuple(pts[lo:] + pts[:lo])
+
+
 def circle(p: int, i: int, j: int) -> Circle:
-    """The circle through j with parameter i, generated iteratively."""
+    """The circle through j with parameter i, walked by the paper's map; the tests' reference."""
     _require_odd_prime_gt3(p)
     i, j = i % p, j % p
     if i == j:
@@ -133,33 +139,36 @@ def circle(p: int, i: int, j: int) -> Circle:
     while t != j:
         pts.append(t)
         t = (t + i) * inv2 % p
-    lo = pts.index(min(pts))
-    return Circle(i, tuple(pts[lo:] + pts[:lo]))
+    return Circle(i, _least_first(pts))
+
+
+def _cosets_of_2(p: int) -> list[list[int]]:
+    """The cosets of <2> in Z_p^* by least member d, each as its cycle d, d/2, d/4, ...; O(p)."""
+    inv2 = (p + 1) // 2  # the inverse of 2 mod p
+    seen: set[int] = set()
+    cosets: list[list[int]] = []
+    for d in range(1, p):
+        if d not in seen:
+            cosets.append([d])
+            while (t := cosets[-1][-1] * inv2 % p) != d:
+                cosets[-1].append(t)
+            seen.update(cosets[-1])
+    return cosets
 
 
 def circle_graph(p: int) -> CircleGraph:
     """Build every circle mod p and join C(i, j) with C(j, i).
 
-    For each parameter i the circles partition Z_p minus {i}; scanning
-    start points in ascending order therefore discovers each orbit at its
-    smallest member, which fixes the canonical vertex order.
+    Writing t = i + d turns t -> (t + i) / 2 into d -> d / 2, so circle
+    C(i, i + d) is i plus the cycle of d from ``_cosets_of_2``, rotated to
+    its smallest point; circles are sorted by (parameter, smallest point).
     """
     _require_odd_prime_gt3(p)
-    circles: list[Circle] = []
-    locate: dict[tuple[int, int], int] = {}
-    for i in range(p):
-        for j in range(p):
-            if j == i or (i, j) in locate:
-                continue
-            c = circle(p, i, j)
-            for t in c.points:
-                locate[(i, t)] = len(circles)
-            circles.append(c)
-    edges = set()
-    for i in range(p):
-        for j in range(i + 1, p):
-            a, b = locate[(i, j)], locate[(j, i)]
-            edges.add((min(a, b), max(a, b)))
+    cosets = _cosets_of_2(p)
+    circles = [Circle(i, _least_first([(i + d) % p for d in c])) for i in range(p) for c in cosets]
+    circles.sort(key=lambda c: (c.parameter, c.points[0]))
+    locate = {(c.parameter, t): k for k, c in enumerate(circles) for t in c.points}
+    edges = {tuple(sorted((locate[i, j], locate[j, i]))) for i in range(p) for j in range(i + 1, p)}
     if len(edges) != p * (p - 1) // 2:  # one edge per unordered parameter pair
         raise InternalContradiction(f"{len(edges)} circle-graph edges, expected {p * (p - 1) // 2}")
     return CircleGraph(p, tuple(circles), tuple(sorted(edges)))
@@ -168,25 +177,22 @@ def circle_graph(p: int) -> CircleGraph:
 def _circle_sides(p: int) -> tuple[int, ...]:
     """Class 1 or 2 of every circle C(i, i + c), indexed by c (index 0 unused).
 
-    Writing t = i + d turns t -> (t + i) / 2 into d -> d / 2, so C(i, i + c)
-    is the coset i + c<2> of the subgroup <2> of Z_p^* and its neighbor
+    C(i, i + c) is the coset i + c<2> of <2> in Z_p^* and its neighbor
     C(i + c, i) lies on i + c - c<2>: each edge joins difference coset D to
     -D. If -1 is not in <2>, the circles on D are one side of the component
     of {D, -D}; class 1 goes to the coset holding the least member of D and
     -D, as breadth-first layering from the least circle of parameter 0 does.
-    If -1 is in <2>, i, i + u, i + 2u, ... (u in D) close a cycle of odd
-    length p, so OddCycle is raised. Built in O(p) steps of t -> 2t.
+    Z_p^* is cyclic, so -1 (its only element of order 2) is in <2> iff
+    ord(2) is even; then i, i + u, i + 2u, ... (u in D) close an odd p-cycle.
     """
+    cosets = _cosets_of_2(p)
+    if len(cosets[0]) % 2 == 0:  # cosets[0] is <2> itself
+        raise OddCycle(f"odd cycle in the circle graph mod {p}")
     sides = [0] * p
-    for c in range(1, p):
-        if sides[c]:
-            continue
-        t = c  # the least unassigned residue, so the least of c<2> and -c<2>
-        while not sides[t]:
-            sides[t], sides[p - t] = 1, 2
-            t = 2 * t % p
-        if t != c:  # the walk met -c<2>: -1 lies in <2>
-            raise OddCycle(f"odd cycle in the circle graph mod {p}")
+    for cycle in cosets:  # by least member, so of D and -D the one holding the smaller comes first
+        if not sides[cycle[0]]:
+            for d in cycle:
+                sides[d], sides[p - d] = 1, 2
     return tuple(sides)
 
 
@@ -244,17 +250,14 @@ def color_theorem1(n: int) -> Coloring:
     sides = _circle_sides(p)
     spec = GraphSpec(n, 3, 2)
     labels = []
-    for v in vertices(spec):
-        inside = [x for x in v if x < p]
-        special = [x for x in v if x >= p]
-        if not special:
-            c = sum(inside) % p
-        elif len(special) == 2:
-            c = 3 * inside[0] % p
+    for x1, x2, x3 in vertices(spec):
+        if x3 < p:
+            c = x1 + x2 + x3
+        elif x2 >= p:
+            c = 3 * x1
         else:
-            x1, x2 = inside
-            c = (x1 + x2 + _f(sides[x2 - x1], 1 if special[0] == p else 2, x1, x2)) % p
-        labels.append(c)
+            c = x1 + x2 + _f(sides[x2 - x1], 1 if x3 == p else 2, x1, x2)
+        labels.append(c % p)
     return Coloring(spec, tuple(labels), Method.THEOREM1, p)
 
 

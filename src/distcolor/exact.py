@@ -161,8 +161,6 @@ def greedy_coloring(g: AdjacencyMatrix) -> int:
 def _greedy_clique(g: AdjacencyMatrix) -> list[int]:
     """Grow a clique from a max-degree seed; bounds chi below."""
     n = g.order
-    if n == 0:
-        return []
     seed = max(range(n), key=lambda v: (g.rows[v].bit_count(), -v))
     clique = [seed]
     cand = g.rows[seed]
@@ -185,7 +183,8 @@ def exact_chromatic_number(
     lower bound is the larger of the clique size and ceil(V / alpha),
     where alpha comes from a node-capped independence probe. Search
     exhaustion below the incumbent proves optimality. Deterministic
-    whenever the budgets are not hit.
+    whenever the budgets are not hit. Every return re-checks the
+    incumbent: InternalContradiction if improper or below the lower bound.
 
     ``initial``, a color per vertex in 0..k-1, is re-checked and replaces
     the DSATUR incumbent when k is smaller; it only ever lowers the upper
@@ -218,63 +217,61 @@ def exact_chromatic_number(
         alpha = exact_independence_number(g, probe, root_orbits)
         if not isinstance(alpha, Exhausted):
             lb = max(lb, -(-n // alpha))
-    if lb >= best:
-        return best
-
-    # the masks use _by_degree labels, where the lowest set bit is the
-    # DSATUR tie-break: highest degree, then lowest vertex; colors keeps
-    # the caller's labels
-    label, pos, rows = _by_degree(g.rows)
-    colors = [0] * n
-    forbid = [0] * (best - 1)  # forbid[c]: the vertices with a neighbor colored c
-    # planes[i] holds bit i of every vertex's saturation, the number of
-    # forbid masks that hold it. Every color stays below the starting
-    # best - 1 (the clique's lb < best, and branching keeps c < best - 1),
-    # so no saturation passes best - 1 and the planes never overflow.
-    planes = [0] * (best - 1).bit_length()
-    uncolored = (1 << n) - 1
-    for idx, v in enumerate(clique):
-        colors[v] = idx
-        planes = _increment(planes, rows[pos[v]] & ~forbid[idx])
-        forbid[idx] |= rows[pos[v]]
-        uncolored ^= 1 << pos[v]
-    nodes = 0
     hit = False
+    if lb < best:  # else the bounds already meet: no search
+        # the masks use _by_degree labels, where the lowest set bit is the
+        # DSATUR tie-break: highest degree, then lowest vertex; colors keeps
+        # the caller's labels
+        label, pos, rows = _by_degree(g.rows)
+        colors = [0] * n
+        forbid = [0] * (best - 1)  # forbid[c]: the vertices with a neighbor colored c
+        # planes[i] holds bit i of every vertex's saturation, the number of
+        # forbid masks that hold it. Every color stays below the starting
+        # best - 1 (the clique's lb < best, and branching keeps c < best - 1),
+        # so no saturation passes best - 1 and the planes never overflow.
+        planes = [0] * (best - 1).bit_length()
+        uncolored = (1 << n) - 1
+        for idx, v in enumerate(clique):
+            colors[v] = idx
+            planes = _increment(planes, rows[pos[v]] & ~forbid[idx])
+            forbid[idx] |= rows[pos[v]]
+            uncolored ^= 1 << pos[v]
+        nodes = 0
 
-    def walk(used: int, uncolored: int, planes: list[int]) -> None:
-        nonlocal best, best_assign, nodes, hit
-        if used >= best:
-            return
-        if not uncolored:
-            best = used
-            best_assign = colors[:]
-            return
-        nodes += 1
-        if nodes > limits.max_nodes or (nodes & 0xFF == 0 and time.monotonic() > deadline):
-            hit = True
-            return
-        low = _pick(uncolored, planes)
-        pick = low.bit_length() - 1
-        rest = uncolored ^ low
-        row = rows[pick]
-        v = label[pick]
-        for c in range(min(used + 1, best - 1)):
-            old = forbid[c]
-            if old & low:
-                continue
-            colors[v] = c
-            forbid[c] = old | row
-            walk(max(used, c + 1), rest, _increment(planes, row & ~old))
-            forbid[c] = old
-            if hit or best == lb:
+        def walk(used: int, uncolored: int, planes: list[int]) -> None:
+            nonlocal best, best_assign, nodes, hit
+            if used >= best:
                 return
+            if not uncolored:
+                best = used
+                best_assign = colors[:]
+                return
+            nodes += 1
+            if nodes > limits.max_nodes or (nodes & 0xFF == 0 and time.monotonic() > deadline):
+                hit = True
+                return
+            low = _pick(uncolored, planes)
+            pick = low.bit_length() - 1
+            rest = uncolored ^ low
+            row = rows[pick]
+            v = label[pick]
+            for c in range(min(used + 1, best - 1)):
+                old = forbid[c]
+                if old & low:
+                    continue
+                colors[v] = c
+                forbid[c] = old | row
+                walk(max(used, c + 1), rest, _increment(planes, row & ~old))
+                forbid[c] = old
+                if hit or best == lb:
+                    return
 
-    walk(len(clique), uncolored, planes)
+        walk(len(clique), uncolored, planes)
     if not _proper(g, best_assign, best):
         raise InternalContradiction(f"the incumbent is not a proper {best}-coloring")
-    if hit:
-        return Exhausted(lower=lb, upper=best)
-    return best
+    if lb > best:
+        raise InternalContradiction(f"lower bound {lb} exceeds a proper {best}-coloring")
+    return Exhausted(lower=lb, upper=best) if hit else best
 
 
 def _proper(g: AdjacencyMatrix, assign: list[int], k: int) -> bool:

@@ -5,10 +5,11 @@ import hashlib
 import io
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
-from distcolor import exact
+from distcolor import cli, exact
 from distcolor.cli import main
 from distcolor.distgraph import GraphSpec, vertex_count
 from distcolor.gf import verify_bh
@@ -83,6 +84,22 @@ def test_verify_rejects_tampered_certificate(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 3
     assert out.startswith("improper")
+
+
+def test_color_improper_construction_exits_3(capsys, monkeypatch):
+    # a construction gone wrong is reported, not trusted: the certificate
+    # says so and the first monochromatic edge goes to stderr
+    sum_coloring = cli.color_sum
+
+    def constant(n, r):
+        coloring = sum_coloring(n, r)
+        return replace(coloring, labels=(0,) * len(coloring.labels))
+
+    monkeypatch.setattr(cli, "color_sum", constant)
+    code, out, err = run(capsys, "color", "--method", "sum", "-n", "5", "-r", "3")
+    assert code == 3
+    assert json.loads(out)["proper"] is False
+    assert err == "improper: (0, 1, 2) and (0, 1, 3) share color 0\n"
 
 
 CERT = {"n": 4, "r": 2, "s": 1, "method": "sum", "palette_bound": 4, "labels": [0, 1, 2, 2, 3, 0]}

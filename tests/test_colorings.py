@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distcolor import colorings
 from distcolor.colorings import (
     Circle,
     Coloring,
@@ -27,6 +28,7 @@ from distcolor.distgraph import GraphSpec, is_edge, neighbors, rank, vertex_coun
 from distcolor.errors import (
     BadInput,
     IncompleteColoring,
+    InvalidPrime,
     NotPrime,
     OddCycle,
     TooLarge,
@@ -94,6 +96,38 @@ def test_circle_graph_p11():
     g = circle_graph(11)
     assert len(g.circles) == 11  # order of 2 mod 11 is 10
     assert len(g.edges) == 55
+
+
+def brute_circle_graph(p):
+    """The circle graph straight from the definition: one ``circle`` per (i, j)."""
+    circles = {circle(p, i, j) for i in range(p) for j in range(p) if j != i}
+    circles = sorted(circles, key=lambda c: (c.parameter, c.points[0]))
+    index = {(c.parameter, t): k for k, c in enumerate(circles) for t in c.points}
+    edges = {tuple(sorted((index[i, j], index[j, i]))) for i in range(p) for j in range(i + 1, p)}
+    return tuple(circles), tuple(sorted(edges))
+
+
+def test_circle_graph_matches_the_definition():
+    for p in odd_primes_to(199):
+        g = circle_graph(p)
+        assert all(c == circle(p, c.parameter, c.points[0]) for c in g.circles), p
+        if p <= 50:
+            assert (g.circles, g.edges) == brute_circle_graph(p), p
+
+
+def test_coset_builds_do_not_walk_circles(monkeypatch):
+    def walk(p, i, j):
+        raise AssertionError("circle() called")
+
+    monkeypatch.setattr(colorings, "circle", walk)
+    assert len(circle_graph(23).circles) == 23 * 22 // 11  # order of 2 mod 23 is 11
+    assert color_theorem1(25).palette_bound == 23
+
+
+def test_circle_builds_reject_non_primes():
+    for build in (lambda: circle(9, 1, 2), lambda: circle_graph(9), lambda: bipartition_circles(3)):
+        with pytest.raises(InvalidPrime, match="need a prime p > 3"):
+            build()
 
 
 def test_circles_partition_per_parameter():

@@ -42,6 +42,16 @@ def test_spec_validation():
         GraphSpec(5, 0, 0)
 
 
+def test_vertex_validation_through_rank_and_neighbors():
+    spec = GraphSpec(5, 3, 2)
+    for bad, message in (((0, 2, 2), "not strictly increasing"), ((0, 3, 5), "leaves the ground set")):
+        for fn in (rank, neighbors):
+            with pytest.raises(BadInput, match=message):
+                fn(spec, bad)
+    with pytest.raises(BadInput, match="leaves the ground set"):
+        rank(spec, (-1, 0, 1))
+
+
 def test_vertex_count():
     assert vertex_count(GraphSpec(9, 3, 2)) == 84
     assert vertex_count(GraphSpec(5, 3, 2)) == 10

@@ -196,6 +196,7 @@ def test_independence_exhaustion():
 def test_greedy_coloring():
     assert greedy_coloring(AdjacencyMatrix.complete(6)) == 6
     assert greedy_coloring(AdjacencyMatrix.empty(4)) == 1
+    assert greedy_coloring(AdjacencyMatrix.empty(0)) == 0
     value = greedy_coloring(from_spec(5, 3, 2))
     assert 5 <= value <= 10
 
@@ -412,3 +413,19 @@ def test_certificate_rechecks_raise(monkeypatch):
     monkeypatch.setattr(exact, "_independent", lambda g, mask: False)
     with pytest.raises(InternalContradiction):
         exact_independence_number(from_spec(5, 3, 2))
+
+
+def test_early_exit_rechecks_the_incumbent(monkeypatch):
+    # when the bounds meet before any search, the answer still passes the
+    # one exit: an improper incumbent or a lower bound above it is caught
+    cycle5 = AdjacencyMatrix(5, tuple(1 << (v + 1) % 5 | 1 << (v - 1) % 5 for v in range(5)))
+    monkeypatch.setattr(exact, "_dsatur_assignment", lambda g: [v % 3 for v in range(g.order)])
+    with pytest.raises(InternalContradiction, match="not a proper 3-coloring"):
+        exact_chromatic_number(AdjacencyMatrix.complete(4))  # clique 4, incumbent 3
+    monkeypatch.setattr(exact, "_dsatur_assignment", lambda g: [v % 2 for v in range(g.order)])
+    with pytest.raises(InternalContradiction, match="not a proper 2-coloring"):
+        exact_chromatic_number(cycle5)  # ceil(5 / 2) = 3, incumbent 2
+    monkeypatch.undo()
+    monkeypatch.setattr(exact, "_greedy_clique", lambda g: list(range(g.order + 1)))
+    with pytest.raises(InternalContradiction, match="lower bound 5 exceeds a proper 4-coloring"):
+        exact_chromatic_number(AdjacencyMatrix.complete(4))

@@ -78,6 +78,8 @@ def test_multiplicative_order_examples():
         multiplicative_order(0, 7)
     with pytest.raises(NotCoprime):
         multiplicative_order(21, 7)
+    with pytest.raises(InvalidPrime, match="21 is not prime"):
+        multiplicative_order(2, 21)
 
 
 def test_multiplicative_order_divides_group_order():

@@ -3,9 +3,10 @@
 ``perfbench/spans.py`` wraps functions in the modules that call them, so
 a name kept in a module only for the tracer (``exact.edges``,
 ``colorings.edges``, ``check_t1_condition`` in ``bounds`` and
-``colorings``) must not be deleted. This test runs real commands with the
-tracer installed; it loads ``spans.py`` from its file and changes nothing
-under ``perfbench/``.
+``colorings``) must not be deleted, and a call that bypasses a rebound
+name leaves its span, and the metric read from it, at 0. This test runs
+real commands with the tracer installed; it loads ``spans.py`` from its
+file and changes nothing under ``perfbench/``.
 """
 
 import importlib.util
@@ -32,6 +33,8 @@ def test_tracer_installs_and_records_spans(capsys):
         ["exact", "chi", "-n", "5", "-r", "3", "-s", "2"],
         ["color", "--method", "sum", "-n", "5", "-r", "3"],
         ["bounds", "-n", "9", "-r", "3", "-s", "2"],
+        ["circles", "-p", "7"],
+        ["color", "--method", "theorem1", "-n", "9"],
     ]
     with tracer.installed():
         for argv in commands:
@@ -47,6 +50,10 @@ def test_tracer_installs_and_records_spans(capsys):
         "exact.exact_chromatic_number",
         "colorings.color_sum",
         "bounds.aggregate",
+        # colorings.circles_s and construct_s read these three
+        "colorings.circle_graph",
+        "colorings.bipartition_circles",
+        "colorings.color_theorem1",
     ):
         assert name in names, name
-    assert {span.cmd for span in tracer.spans} == {0, 1, 2}
+    assert {span.cmd for span in tracer.spans} == {0, 1, 2, 3, 4}
