@@ -162,16 +162,26 @@ def circle_graph(p: int) -> CircleGraph:
     Writing t = i + d turns t -> (t + i) / 2 into d -> d / 2, so circle
     C(i, i + d) is i plus the cycle of d from ``_cosets_of_2``, rotated to
     its smallest point; circles are sorted by (parameter, smallest point).
+    The flat index ``at[i * p + t]`` is the circle of parameter i through t;
+    the circles of each parameter i must cover Z_p minus {i} exactly once.
     """
     _require_odd_prime_gt3(p)
     cosets = _cosets_of_2(p)
     circles = [Circle(i, _least_first([(i + d) % p for d in c])) for i in range(p) for c in cosets]
     circles.sort(key=lambda c: (c.parameter, c.points[0]))
-    locate = {(c.parameter, t): k for k, c in enumerate(circles) for t in c.points}
-    edges = {tuple(sorted((locate[i, j], locate[j, i]))) for i in range(p) for j in range(i + 1, p)}
-    if len(edges) != p * (p - 1) // 2:  # one edge per unordered parameter pair
-        raise InternalContradiction(f"{len(edges)} circle-graph edges, expected {p * (p - 1) // 2}")
-    return CircleGraph(p, tuple(circles), tuple(sorted(edges)))
+    at = [-1] * (p * p)
+    for k, c in enumerate(circles):
+        for t in c.points:
+            at[c.parameter * p + t] = k
+    # the slots (i, i), and only they, stay empty; p - 1 points per parameter
+    # then fill its p - 1 other slots with no slot written twice
+    if at.count(-1) != p or at[:: p + 1].count(-1) != p or sum(map(len, cosets)) != p - 1:
+        raise InternalContradiction(f"the circles mod {p} do not split Z_p minus each parameter")
+    # i < j puts C(i, j) in an earlier parameter block than C(j, i)
+    edges = sorted((at[i * p + j], at[j * p + i]) for i in range(p) for j in range(i + 1, p))
+    if any(e == f for e, f in zip(edges, edges[1:])):  # one edge per unordered parameter pair
+        raise InternalContradiction(f"a repeated circle-graph edge mod {p}")
+    return CircleGraph(p, tuple(circles), tuple(edges))
 
 
 def _circle_sides(p: int) -> tuple[int, ...]:

@@ -109,9 +109,14 @@ def unrank(spec: GraphSpec, k: int) -> RSubset:
 
 
 def vertices(spec: GraphSpec) -> list[RSubset]:
-    """All vertices in colexicographic (rank) order."""
+    """All vertices in colexicographic (rank) order, as built: no sort.
+
+    Over the descending ground set, combinations yields each r-set largest
+    element first, in lexicographic order of those descending tuples; that
+    is colex order reversed.
+    """
     capped_vertex_count(spec, MAX_ENUMERATION_VERTICES)
-    return sorted(combinations(range(spec.n), spec.r), key=lambda t: t[::-1])
+    return [t[::-1] for t in combinations(range(spec.n - 1, -1, -1), spec.r)][::-1]
 
 
 def root_orbits(spec: GraphSpec) -> list[int]:

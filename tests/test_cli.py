@@ -252,8 +252,9 @@ def test_scan_condition_rows_match_validating_check(capsys):
 
 
 # sha256 of stdout as produced by the full discrete-log walk, by a scan
-# that re-tested every sieved prime, and by a breadth-first two-coloring
-# of the circle graph; the faster paths must match it byte for byte
+# that re-tested every sieved prime, by a breadth-first two-coloring of
+# the circle graph, and by vertices sorted on their reversed tuples; the
+# faster paths must match it byte for byte
 PINNED_STDOUT = [
     (("bhset", "-q", "101", "--degree", "3"),
      "687130b7542169e124b25ab4fa027273062f7072b0491e34ebe3305532f1a8c9"),
@@ -271,9 +272,18 @@ PINNED_STDOUT = [
      "21f9b4c4b3bf5f5807494b40074142101abb05efffb8d824aa673930230b2025"),
     (("color", "--method", "theorem1", "-n", "49"),
      "b8c5ff5d1bd840ebc4ba05002d0dc68d76fec286465a37eefa1506b524f4c91e"),
+    (("color", "--method", "sum", "-n", "13", "-r", "4"),
+     "112cc9d4cf7ffebbcc2da840edb14a626b755dfbc528fd05ffc4451e9e3ff887"),
+    (("color", "--method", "bose-chowla", "-n", "17", "-r", "4", "-s", "2"),
+     "fbfae44b73a3edff2b5662e0a95f9f1ccaf67465d60debb01490bc14a19a0121"),
+    (("color", "--method", "symmetric", "-n", "13", "-r", "4", "-s", "2"),
+     "912c49aa9c7240ae1a8719d8e640b5d1f027cc84b1c7769f8b14afbb162fb387"),
+    (("color", "--method", "sum", "-n", "11", "-r", "8"),
+     "bf0276ff124fd29a385e3bc81290d291ce8b06832884ee7ccae754ae9161e92e"),
 ]
 PINNED_IDS = ["bhset", "scan-condition", "circles-7", "circles-23", "circles-199"]
 PINNED_IDS += ["theorem1-9", "theorem1-33", "theorem1-49"]
+PINNED_IDS += ["sum-13-4", "bose-chowla-17-4-2", "symmetric-13-4-2", "sum-11-8"]
 
 
 @pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=PINNED_IDS)

@@ -28,6 +28,7 @@ from distcolor.distgraph import GraphSpec, is_edge, neighbors, rank, vertex_coun
 from distcolor.errors import (
     BadInput,
     IncompleteColoring,
+    InternalContradiction,
     InvalidPrime,
     NotPrime,
     OddCycle,
@@ -128,6 +129,32 @@ def test_circle_builds_reject_non_primes():
     for build in (lambda: circle(9, 1, 2), lambda: circle_graph(9), lambda: bipartition_circles(3)):
         with pytest.raises(InvalidPrime, match="need a prime p > 3"):
             build()
+
+
+def test_circle_graph_index_is_flat():
+    tracemalloc.start()
+    g = circle_graph(199)
+    retained, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(g.edges) == 199 * 198 // 2
+    assert peak <= 1.6 * retained
+
+
+@pytest.mark.parametrize("damage", ["dropped point", "repeated coset"])
+def test_circle_graph_rejects_a_broken_coset_table(monkeypatch, damage):
+    cosets_of_2 = colorings._cosets_of_2
+
+    def broken(p):
+        cosets = cosets_of_2(p)
+        if damage == "dropped point":
+            cosets[1].remove(10)  # no circle of parameter i passes through i + 10
+        else:
+            cosets.append(cosets[0])
+        return cosets
+
+    monkeypatch.setattr(colorings, "_cosets_of_2", broken)
+    with pytest.raises(InternalContradiction, match="do not split Z_p"):
+        circle_graph(23)
 
 
 def test_circles_partition_per_parameter():

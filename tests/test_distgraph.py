@@ -1,6 +1,7 @@
 """Tests for vertex ranking and adjacency of G(n, r, s)."""
 
 import math
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -117,8 +118,21 @@ def test_rank_extremes():
 
 
 def test_vertices_follow_rank_order():
-    for spec in (GraphSpec(7, 3, 2), GraphSpec(6, 2, 1), GraphSpec(8, 4, 1)):
-        assert vertices(spec) == [unrank(spec, k) for k in range(vertex_count(spec))]
+    for n in range(1, 13):
+        for r in range(1, n + 1):
+            spec = GraphSpec(n, r, 0)
+            assert vertices(spec) == [unrank(spec, k) for k in range(vertex_count(spec))], spec
+
+
+def test_vertices_build_no_intermediate_level():
+    # r > n/2: a level-by-level colex build would pass through C(24, 12)
+    # tuples on its way to these C(24, 20) = 10,626
+    tracemalloc.start()
+    verts = vertices(GraphSpec(24, 20, 19))
+    retained, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(verts) == 10626
+    assert peak <= 1.5 * retained
 
 
 def test_is_edge_examples():
