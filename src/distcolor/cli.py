@@ -39,7 +39,7 @@ from .exact import (
 )
 from .gf import bose_chowla_set
 # primes_in_class is unused here; perfbench/spans.py rebinds it when it traces a run.
-from .numtheory import _t1_report, check_t1_condition, factor_sieve, primes_in_class, sieve_factors
+from .numtheory import check_t1_condition, orders_of_two, primes_in_class
 
 EXIT_IMPROPER = 3
 
@@ -223,24 +223,12 @@ def cmd_exact(args: argparse.Namespace) -> int:
 def cmd_scan_condition(args: argparse.Namespace) -> int:
     if args.limit > 10**6:
         raise TooLarge(f"scan limit {args.limit} exceeds 10^6")
-    least = factor_sieve(args.limit)
-    rows = []
-    # the sieve proves each prime and factors each p - 1, so the report
-    # skips both primality testing and trial division
-    for p in range(5, args.limit + 1):
-        if least[p]:
-            continue
-        rep = _t1_report(p, sieve_factors(p - 1, least))
-        rows.append(
-            [
-                p,
-                p % 8,
-                rep.order_of_two,
-                "true" if rep.condition_holds else "false",
-                "" if rep.witness_r is None else rep.witness_r,
-            ]
-        )
-    _emit(_csv_text(["p", "p_mod_8", "order_of_two", "condition_holds", "witness_r"], rows), args.out)
+    # an odd order d means no power of 2 is -1; an even one has 2^(d/2) = -1
+    rows = [
+        f"{p},{p % 8},{d},true,\n" if d % 2 else f"{p},{p % 8},{d},false,{d // 2}\n"
+        for p, d in orders_of_two(args.limit)
+    ]
+    _emit("p,p_mod_8,order_of_two,condition_holds,witness_r\n" + "".join(rows), args.out)
     return 0
 
 

@@ -41,15 +41,20 @@ class AdjacencyMatrix:
         if len(self.rows) != self.order:
             raise BadInput(f"{len(self.rows)} rows for order {self.order}")
         full = (1 << self.order) - 1
+        above = 0
         for i, row in enumerate(self.rows):
             if row & ~full:
                 raise BadInput(f"row {i} has bits outside the vertex range")
             if row >> i & 1:
                 raise BadInput(f"self-loop at vertex {i}")
-        for i, row in enumerate(self.rows):
-            for j in _bits(row):
+            upper = row >> (i + 1) << (i + 1)
+            above += upper.bit_count()
+            for j in _bits(upper):
                 if not self.rows[j] >> i & 1:
                     raise BadInput(f"edge {i}-{j} is not symmetric")
+        # each bit above the diagonal has its mirror, so equal counts leave no other bit below
+        if 2 * above != sum(row.bit_count() for row in self.rows):
+            raise BadInput("an edge below the diagonal has no mirror above it")
 
     @classmethod
     def from_graph_spec(cls, spec: GraphSpec) -> "AdjacencyMatrix":

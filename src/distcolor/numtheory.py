@@ -10,7 +10,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from math import isqrt
-from typing import Sequence
+from typing import Iterator
 
 from .errors import InvalidPrime, NotCoprime, TooLarge, ZeroDivisor
 
@@ -82,14 +82,10 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _order(a: int, p: int, factors: Sequence[int] | None = None) -> int:
-    """Least k >= 1 with a^k = 1 mod p, for a prime p and a unit a mod p.
-
-    ``factors``, the distinct primes dividing p - 1 when the caller has
-    them, spares the trial division.
-    """
+def _order(a: int, p: int) -> int:
+    """Least k >= 1 with a^k = 1 mod p, for a prime p and a unit a mod p."""
     order = p - 1
-    for q in _prime_factors(p - 1) if factors is None else factors:
+    for q in _prime_factors(p - 1):
         while order % q == 0 and pow(a, order // q, p) == 1:
             order //= q
     return order
@@ -115,14 +111,14 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
-def _t1_report(p: int, factors: Sequence[int] | None = None) -> ConditionReport:
+def _t1_report(p: int) -> ConditionReport:
     """The odd-order report for a p already known to be a prime > 3.
 
     Z_p^* is cyclic, so -1 is its only element of order 2. If the order d
     of 2 is even, 2^(d/2) = -1, and d/2 is least as 2^k = -1 forces d | 2k;
-    if d is odd, no power of 2 has order 2. ``factors`` goes to ``_order``.
+    if d is odd, no power of 2 has order 2.
     """
-    d = _order(2, p, factors)
+    d = _order(2, p)
     if d % 2 == 0:
         return ConditionReport(p, d, False, d // 2)
     return ConditionReport(p, d, True, None)
@@ -163,16 +159,35 @@ def factor_sieve(limit: int) -> array:
     return least
 
 
-def sieve_factors(m: int, least: array) -> list[int]:
-    """Distinct prime factors of m >= 1, ascending, from a factor_sieve covering m."""
-    out = []
-    while m > 1:
-        q = least[m] or m
-        out.append(q)
-        m //= q
-        while m % q == 0:
-            m //= q
-    return out
+def orders_of_two(limit: int) -> Iterator[tuple[int, int]]:
+    """(p, order of 2 mod p) for every prime 5 <= p <= limit, ascending, from one factor_sieve.
+
+    With p - 1 = 2^k * m, m odd, 2^(e * 2^k) = 1 iff the odd part of the
+    order divides e, so stripping the primes of m at exponents scaled by
+    2^k leaves that odd part. 2 is a square mod p iff p = +-1 mod 8, so
+    the 2-part is 2^k for p = 3, 5 mod 8 and 1 for p = 7 mod 8 (k = 1);
+    only p = 1 mod 8 squares 2^odd until it reaches 1.
+    """
+    least = factor_sieve(limit)
+    for p in range(5, limit + 1):
+        if least[p]:
+            continue
+        two_k = (p - 1) & -(p - 1)
+        order = rest = (p - 1) // two_k  # m
+        while rest > 1:
+            q = least[rest] or rest
+            while order % q == 0 and pow(2, order // q * two_k, p) == 1:
+                order //= q
+            while rest % q == 0:
+                rest //= q
+        if p & 7 == 1:
+            x = pow(2, order, p)
+            while x != 1:
+                x = x * x % p
+                order *= 2
+        elif p & 7 != 7:
+            order *= two_k
+        yield p, order
 
 
 def primes_in_class(limit: int, residue: int, modulus: int) -> list[int]:

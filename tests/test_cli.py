@@ -252,14 +252,17 @@ def test_scan_condition_rows_match_validating_check(capsys):
 
 
 # sha256 of stdout as produced by the full discrete-log walk, by a scan
-# that re-tested every sieved prime, by a breadth-first two-coloring of
-# the circle graph, and by vertices sorted on their reversed tuples; the
-# faster paths must match it byte for byte
+# that re-tested every sieved prime (10^5) or built one report per prime
+# (10^6), by a breadth-first two-coloring of the circle graph, and by
+# vertices sorted on their reversed tuples; the faster paths must match
+# it byte for byte
 PINNED_STDOUT = [
     (("bhset", "-q", "101", "--degree", "3"),
      "687130b7542169e124b25ab4fa027273062f7072b0491e34ebe3305532f1a8c9"),
     (("scan-condition", "--limit", "100000"),
      "45468cf4979759b6be288a2f428278fa24a1c75b8857c583b7c7ebb048d9bbc8"),
+    (("scan-condition", "--limit", "1000000"),
+     "15fe7d87158abbf58a303b026c49ec1637a5a700bc296d1fc6b7fef020bb1071"),
     (("circles", "-p", "7"),
      "26a4171bf54808e8a8532371a1290a894946ef2da07aadb0bf528cbffc8de4fc"),
     (("circles", "-p", "23"),
@@ -281,7 +284,8 @@ PINNED_STDOUT = [
     (("color", "--method", "sum", "-n", "11", "-r", "8"),
      "bf0276ff124fd29a385e3bc81290d291ce8b06832884ee7ccae754ae9161e92e"),
 ]
-PINNED_IDS = ["bhset", "scan-condition", "circles-7", "circles-23", "circles-199"]
+PINNED_IDS = ["bhset", "scan-condition", "scan-condition-1e6"]
+PINNED_IDS += ["circles-7", "circles-23", "circles-199"]
 PINNED_IDS += ["theorem1-9", "theorem1-33", "theorem1-49"]
 PINNED_IDS += ["sum-13-4", "bose-chowla-17-4-2", "symmetric-13-4-2", "sum-11-8"]
 

@@ -77,6 +77,8 @@ def test_adjacency_validation():
     with pytest.raises(BadInput):
         AdjacencyMatrix(2, (2, 0))  # asymmetric
     with pytest.raises(BadInput):
+        AdjacencyMatrix(2, (0, 1))  # asymmetric, its one edge below the diagonal
+    with pytest.raises(BadInput):
         AdjacencyMatrix(1, (0, 0))
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from distcolor.errors import InvalidPrime, NotCoprime, TooLarge, ZeroDivisor
 from distcolor.numtheory import (
+    _order,
     _prime_factors,
     check_t1_condition,
     factor_sieve,
@@ -16,8 +17,8 @@ from distcolor.numtheory import (
     mod_inverse,
     multiplicative_order,
     next_prime,
+    orders_of_two,
     primes_in_class,
-    sieve_factors,
     theorem1_prime,
 )
 
@@ -180,11 +181,30 @@ def test_theorem1_prime_matches_candidate_scan():
 def test_factor_sieve_matches_trial_division():
     least = factor_sieve(20000)
     assert len(least) == 20001 and least.itemsize == 2
-    for m in range(20001):
-        assert (least[m] == 0) == (m < 2 or trial_division_prime(m)), m
-        if m:
-            assert sieve_factors(m, least) == _prime_factors(m), m
+    assert least[0] == least[1] == 0
+    for m in range(2, 20001):
+        factors = _prime_factors(m)
+        if least[m] == 0:
+            assert factors == [m], m
+        else:
+            assert least[m] == factors[0] and factors != [m], m
     assert list(factor_sieve(3)) == [0, 0, 0, 0]
     assert len(factor_sieve(0)) == 1 and len(factor_sieve(-5)) == 0
     with pytest.raises(TooLarge):
         factor_sieve(1 << 32)
+
+
+def test_orders_of_two_match_independent_orders():
+    orders = list(orders_of_two(974849))
+    assert [p for p, _ in orders] == [p for p in primes_in_class(974849, 0, 1) if p >= 5]
+    by_prime = dict(orders)
+    for p in primes_in_class(200000, 0, 1)[2:]:
+        assert by_prime[p] == _order(2, p), p
+        if p < 2000:
+            assert by_prime[p] == naive_order(2, p), p
+    # orders far below 2^k, an odd part of 1, and p - 1 = 2 * 3^j
+    assert by_prime[257] == 16 and by_prime[65537] == 32
+    assert by_prime[786433] == 3 * 2**17  # 3 * 2^18 + 1
+    assert by_prime[974849] == 2**12
+    assert by_prime[163] == 162 and by_prime[487] == 243 and by_prime[1459] == 486
+    assert list(orders_of_two(-5)) == list(orders_of_two(4)) == []
