@@ -28,7 +28,7 @@ from .colorings import (
     color_theorem1,
     verify_proper,
 )
-from .distgraph import GraphSpec, canonical, root_orbits
+from .distgraph import GraphSpec, canonical, root_orbits, vertices
 from .errors import BadInput, Error, TooLarge
 from .exact import (
     AdjacencyMatrix,
@@ -199,7 +199,9 @@ def cmd_exact(args: argparse.Namespace) -> int:
     if args.which == "chi":
         seed = best_construction(spec)
         labels = None if seed is None else seed.labels
-        result = exact_chromatic_number(graph, limits, labels, orbits)
+        # every permutation of the ground set is an automorphism; the solver checks the sets
+        sets = [sum(1 << x for x in v) for v in vertices(spec)]
+        result = exact_chromatic_number(graph, limits, labels, orbits, sets)
     else:
         result = exact_independence_number(graph, limits, orbits)
     payload: dict = {"which": args.which, "n": args.n, "r": args.r, "s": args.s}

@@ -7,9 +7,10 @@ deterministic, and respect node/time budgets: hitting a budget yields an
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Generator, Iterator, Sequence
 
 # edges is unused here; perfbench/spans.py rebinds it when it traces a run.
 from .distgraph import GraphSpec, capped_vertex_count, edges, vertices
@@ -181,6 +182,7 @@ def exact_chromatic_number(
     limits: SolveLimits = SolveLimits(),
     initial: Sequence[int] | None = None,
     root_orbits: Sequence[int] | None = None,
+    sets: Sequence[int] | None = None,
 ) -> int | Exhausted:
     """Exact chi(g) by DSATUR branch and bound.
 
@@ -196,6 +198,19 @@ def exact_chromatic_number(
     side. BadInput when its length is wrong or it is not proper.
     ``root_orbits`` is re-checked and goes to the alpha probe; see
     exact_independence_number.
+
+    ``sets``, the element bitmask of each vertex, states that g is
+    G(m, r, s) up to the choice of s: it is checked (BadInput otherwise)
+    to be all C(m, r) distinct r-subsets of {0, ..., m-1}, with adjacency
+    a function of |a ∩ b| alone, so every permutation of the ground set is
+    an automorphism. A second search, the ascent (_ascent), then decides
+    k-colorability for k = lb, lb + 1, ... one color class at a time under
+    that symmetry. It runs 256 of its own nodes at each of DSATUR's clock
+    polls; each refuted k raises the lower bound, and a k-coloring it
+    finds becomes the incumbent once every smaller k is refuted. DSATUR's
+    tree is unchanged and ends as soon as the bounds meet. Each search
+    counts its own nodes against ``limits.max_nodes``; the deadline is
+    shared. Without ``sets`` the search is DSATUR alone.
     """
     if g.order > CHI_MAX_VERTICES:
         raise TooLarge(f"{g.order} vertices exceeds the chi solver cap {CHI_MAX_VERTICES}")
@@ -204,6 +219,8 @@ def exact_chromatic_number(
         return 0
     if root_orbits is not None:
         _check_root_orbits(g, root_orbits)
+    if sets is not None:
+        _check_sets(g, sets)
     deadline = time.monotonic() + limits.time_budget
     clique = _greedy_clique(g)
     lb = len(clique)
@@ -217,10 +234,12 @@ def exact_chromatic_number(
             raise BadInput("the initial coloring is not a proper coloring of this graph")
         if k < best:
             best, best_assign = k, seed
+    alpha = n  # bounds every color class until the probe proves better
     if lb < best:
         probe = SolveLimits(max_nodes=200_000, time_budget=limits.time_budget)
-        alpha = exact_independence_number(g, probe, root_orbits)
-        if not isinstance(alpha, Exhausted):
+        probed = exact_independence_number(g, probe, root_orbits)
+        if not isinstance(probed, Exhausted):
+            alpha = probed
             lb = max(lb, -(-n // alpha))
     hit = False
     if lb < best:  # else the bounds already meet: no search
@@ -242,6 +261,16 @@ def exact_chromatic_number(
             forbid[idx] |= rows[pos[v]]
             uncolored ^= 1 << pos[v]
         nodes = 0
+        ascent = None if sets is None else _ascent(g.rows, sets, alpha, lb, limits.max_nodes)
+
+        def climb() -> bool:
+            """Run the ascent to its next pause; True once the bounds meet."""
+            nonlocal lb, best, best_assign
+            lower, _, found = next(ascent, (lb, 0, None))
+            lb = lower
+            if found is not None:
+                best, best_assign = lower, found
+            return best == lb
 
         def walk(used: int, uncolored: int, planes: list[int]) -> None:
             nonlocal best, best_assign, nodes, hit
@@ -254,6 +283,8 @@ def exact_chromatic_number(
             nodes += 1
             if nodes > limits.max_nodes or (nodes & 0xFF == 0 and time.monotonic() > deadline):
                 hit = True
+                return
+            if ascent is not None and nodes & 0xFF == 0 and climb():
                 return
             low = _pick(uncolored, planes)
             pick = low.bit_length() - 1
@@ -279,6 +310,154 @@ def exact_chromatic_number(
     return Exhausted(lower=lb, upper=best) if hit else best
 
 
+def _ascent(
+    rows: Sequence[int], sets: Sequence[int], alpha: int, k: int, max_nodes: int
+) -> Iterator[tuple[int, int, list[int] | None]]:
+    """Decide k-colorability for k, k + 1, ... one color class at a time.
+
+    Yields (lower, nodes, coloring): every k below lower is refuted, and
+    nodes counts this search alone. It pauses after every 256 nodes and
+    after each refutation. A k-coloring found is yielded once and ends
+    the search; so does passing max_nodes, without one.
+
+    Classes are built in order 0, 1, ..., and class j holds the lowest
+    uncolored vertex and is a maximal independent set of the uncolored
+    graph G[U]; any k-coloring can be rearranged to satisfy both. While
+    class j is open, the candidates are the uncolored vertices that are
+    not adjacent to it and not excluded. A node branches on the orbit of
+    the lowest candidate: the left child adds that vertex, the right one
+    excludes the whole orbit from class j. A node is cut when the class
+    cannot reach |U| - (k - j - 1) * alpha vertices, since the classes
+    after it hold at most alpha each, and a class that closes while an
+    excluded vertex has no neighbor in it is not maximal.
+
+    The group is the product of Sym(cell) over a partition of the ground
+    set; the checked sets make each of its members an automorphism. Elements a and b
+    share a cell iff the transposition (a b) maps every closed class onto
+    itself; that is an equivalence, so each closing class only splits
+    the cells before it, one representative per part. Each vertex added
+    to the open class splits them by its set. So the group fixes the
+    closed classes, the open class and, since it only shrinks, every
+    excluded orbit: the candidates are fixed, and an automorphism moves
+    any solution through a member of the orbit onto one through its
+    lowest member (orbital branching, Ostrowski, Linderoth, Rossi and
+    Smriglio, Math. Program. 126, 2011). An r-set's orbit is the r-sets
+    that meet each cell as often as it does.
+    """
+    n = len(rows)
+    ground = 0
+    for m in sets:
+        ground |= m
+    # holds[e]: the vertices whose set holds element e
+    holds = [sum(1 << v for v, m in enumerate(sets) if m >> e & 1) for e in range(ground.bit_length())]
+    full = (1 << n) - 1
+    colors = [0] * n
+    nodes = 0
+
+    # meets[cell, t]: the vertices with t or more elements in cell. Cells are
+    # intersections of a few r-sets and their complements, and recur: the
+    # longest runs measured keep about 40 entries
+    meets: dict[tuple[int, int], int] = {}
+
+    def orbit(m: int, cells: list[int]) -> int:
+        # |w| = |m|, so meeting each cell that m meets at least as often suffices
+        out = full
+        for cell in cells:
+            t = (m & cell).bit_count()
+            if t:
+                mask = meets.get((cell, t))
+                if mask is None:
+                    at_least = [full] + [0] * t  # at_least[i]: i or more of the elements seen
+                    for e in _bits(cell):
+                        for i in range(t, 0, -1):
+                            at_least[i] |= at_least[i - 1] & holds[e]
+                    mask = meets[cell, t] = at_least[t]
+                out &= mask
+        return out
+
+    def split(cells: list[int], cls: int) -> list[int]:
+        members = {sets[v] for v in _bits(cls)}
+
+        def swap_fixes(a: int, b: int) -> bool:
+            both = 1 << a | 1 << b
+            return all((m ^ both) in members for m in members if (m >> a ^ m >> b) & 1)
+
+        out = []
+        for cell in cells:
+            reps: list[int] = []  # the first element of each part
+            parts: list[int] = []
+            for a in _bits(cell):
+                i = next((i for i, b in enumerate(reps) if swap_fixes(b, a)), len(reps))
+                if i == len(reps):
+                    reps.append(a)
+                    parts.append(0)
+                parts[i] |= 1 << a
+            out += parts
+        return out
+
+    def refine(cells: list[int], m: int) -> list[int]:
+        out = []
+        for cell in cells:
+            inside = cell & m
+            if inside and inside != cell:
+                out += (inside, cell ^ inside)
+            else:
+                out.append(cell)
+        return out
+
+    def color(j: int, uncolored: int, base: list[int]) -> Generator[tuple[int, int, None], None, bool]:
+        """True iff classes j, j + 1, ... below k color uncolored; base: the cells."""
+        if not uncolored:
+            return True
+        if uncolored.bit_count() > (k - j) * alpha:
+            return False
+        need = uncolored.bit_count() - (k - j - 1) * alpha
+
+        def grow(
+            cls: int, reach: int, cand: int, excluded: int, cells: list[int]
+        ) -> Generator[tuple[int, int, None], None, bool]:
+            # reach: the class's neighbors; the right branches run as this loop
+            nonlocal nodes
+            while True:
+                nodes += 1
+                if nodes > max_nodes:
+                    return False
+                if not nodes & 0xFF:
+                    yield k, nodes, None
+                if cls.bit_count() + cand.bit_count() < need:
+                    return False
+                if not cand:
+                    if excluded & ~reach:
+                        return False
+                    for v in _bits(cls):
+                        colors[v] = j
+                    return (yield from color(j + 1, uncolored ^ cls, split(base, cls)))
+                low = cand & -cand
+                v = low.bit_length() - 1
+                orb = orbit(sets[v], cells)
+                if orb & ~cand:
+                    raise InternalContradiction("a candidate's orbit leaves the candidates")
+                left = refine(cells, sets[v])
+                if (yield from grow(cls | low, reach | rows[v], cand & ~rows[v] ^ low, excluded, left)):
+                    return True
+                cand ^= orb
+                excluded |= orb
+
+        low = uncolored & -uncolored
+        u = low.bit_length() - 1
+        return (yield from grow(low, rows[u], uncolored & ~rows[u] ^ low, 0, refine(base, sets[u])))
+
+    while True:
+        found = yield from color(0, full, [ground])
+        if nodes > max_nodes:
+            return
+        if found:
+            yield k, nodes, colors[:]
+            return
+        k += 1
+        yield k, nodes, None
+
+
 def _proper(g: AdjacencyMatrix, assign: list[int], k: int) -> bool:
     """True iff every color lies in 0..k-1 and no edge joins two equal colors."""
     if any(not 0 <= c < k for c in assign):
@@ -300,6 +479,28 @@ def _check_root_orbits(g: AdjacencyMatrix, root_orbits: Sequence[int]) -> None:
         union |= orbit
     if union != full ^ g.rows[0] ^ 1:
         raise BadInput("root orbits must cover exactly the non-neighbors of vertex 0")
+
+
+def _check_sets(g: AdjacencyMatrix, sets: Sequence[int]) -> None:
+    """BadInput unless sets are all C(m, r) r-subsets of {0..m-1}, adjacency a function of |a ∩ b|."""
+    if len(sets) != g.order:
+        raise BadInput(f"{len(sets)} sets for {g.order} vertices")
+    ground = 0
+    for m in sets:
+        if m < 0:
+            raise BadInput("a set must be a nonnegative bitmask")
+        ground |= m
+    r = sets[0].bit_count()
+    if ground & (ground + 1) or len(set(sets)) != len(sets) or any(m.bit_count() != r for m in sets):
+        raise BadInput("sets must be distinct r-subsets of {0, ..., m-1}")
+    if math.comb(ground.bit_length(), r) != len(sets):
+        raise BadInput(f"sets must hold all C({ground.bit_length()}, {r}) r-subsets")
+    relation: dict[int, int] = {}
+    for v, (a, row) in enumerate(zip(sets, g.rows)):
+        for w in range(v + 1, g.order):
+            edge = row >> w & 1
+            if relation.setdefault((a & sets[w]).bit_count(), edge) != edge:
+                raise BadInput("adjacency must depend only on the size of the intersection")
 
 
 def exact_independence_number(

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from distcolor import cli
 from distcolor.bounds import aggregate, counting_lower_bound, independence_upper_bound
 from distcolor.colorings import best_construction
 from distcolor.distgraph import GraphSpec, canonical, edges, root_orbits, vertex_count, vertices
@@ -341,8 +342,10 @@ def test_unseeded_node_counts_pinned():
 
 
 def test_solve_workload_node_count_pinned():
-    # exact chi -n 11 -r 2 -s 0 has no construction seed; its DSATUR search
-    # refutes 8-colorings in 218,131 nodes. Before the walk pruned branches
+    # the library path without sets, so DSATUR alone: exact chi -n 11 -r 2 -s 0
+    # has no construction seed, and the search refutes 8-colorings in 218,131
+    # nodes (the CLI, which passes sets, stops at 7,680; see
+    # test_ascent_node_counts_pinned). Before the walk pruned branches
     # that use as many colors as the live incumbent it took 224,186, the
     # count of both the per-neighbor search and the bit-parallel kernel
     spec = canonical(GraphSpec(11, 2, 0))
@@ -431,3 +434,135 @@ def test_early_exit_rechecks_the_incumbent(monkeypatch):
     monkeypatch.setattr(exact, "_greedy_clique", lambda g: list(range(g.order + 1)))
     with pytest.raises(InternalContradiction, match="lower bound 5 exceeds a proper 4-coloring"):
         exact_chromatic_number(AdjacencyMatrix.complete(4))
+
+
+def masks(verts):
+    return [sum(1 << x for x in v) for v in verts]
+
+
+def ascend(spec, k, max_nodes):
+    # runs the ascent alone from k; (lower, coloring or None, nodes at each refutation)
+    g = AdjacencyMatrix.from_graph_spec(spec)
+    alpha = exact_independence_number(g)
+    lower, found, refuted = k, None, {}
+    for lower, nodes, found in exact._ascent(g.rows, masks(vertices(spec)), alpha, k, max_nodes):
+        if lower > k:
+            refuted.setdefault(lower - 1, nodes)
+    return lower, found, refuted
+
+
+def test_ascent_never_passes_chi():
+    # the decision oracle: from k = 1 every refuted k lies below chi, which
+    # the seeded plain search proves, and a coloring found is a proper
+    # chi-coloring; every spec with 2 <= r <= n - 1 and C(n, r) <= 56
+    cases = found = 0
+    for n in range(2, 15):
+        for r in range(2, n):
+            if vertex_count(GraphSpec(n, r, 0)) > 56:
+                continue
+            for s in range(r):
+                spec = canonical(GraphSpec(n, r, s))
+                g = AdjacencyMatrix.from_graph_spec(spec)
+                seed = best_construction(spec)
+                chi = exact_chromatic_number(g, initial=None if seed is None else seed.labels)
+                assert not isinstance(chi, Exhausted), (n, r, s)
+                lower, coloring, _ = ascend(spec, 1, 20_000)
+                assert lower <= chi, (n, r, s)
+                if coloring is not None:
+                    assert lower == chi and brute_proper(g, coloring, chi), (n, r, s)
+                    found += 1
+                cases += 1
+    assert (cases, found) == (166, 158)
+
+
+def brute_proper(g, coloring, k):
+    pairs = ((v, w) for v in range(g.order) for w in range(g.order) if g.rows[v] >> w & 1)
+    return all(coloring[v] != coloring[w] for v, w in pairs) and set(coloring) == set(range(k))
+
+
+def test_ascent_meets_lovasz():
+    # chi(G(n, r, 0)) = n - 2r + 2: refuted below it, a coloring found at it
+    for n, r in [(5, 2), (6, 2), (7, 2), (8, 2), (9, 2), (10, 2), (6, 3), (7, 3), (8, 3), (8, 4)]:
+        spec = GraphSpec(n, r, 0)
+        lower, coloring, _ = ascend(spec, 1, 200_000)
+        assert lower == n - 2 * r + 2, (n, r)
+        assert brute_proper(AdjacencyMatrix.from_graph_spec(spec), coloring, lower), (n, r)
+
+
+def test_ascent_agrees_with_plain_search():
+    # the window of test_root_orbit_search_matches_plain_search at one node
+    # budget: with sets the interval lies inside the plain one, and where
+    # both resolve they agree. 11 intervals narrow, among them G(8, 3, 2),
+    # G(9, 3, 2), G(9, 6, 5) and G(10, 2, 0), which resolve
+    limits = SolveLimits(max_nodes=3000, time_budget=1e9)
+    cases = narrower = 0
+    for n in range(1, 15):
+        for r in range(1, n + 1):
+            if vertex_count(GraphSpec(n, r, 0)) > 84:
+                continue
+            for s in range(r):
+                spec = GraphSpec(n, r, s)
+                g = AdjacencyMatrix.from_graph_spec(spec)
+                orbits = root_orbits(spec)
+                plain = exact_chromatic_number(g, limits, None, orbits)
+                symmetric = exact_chromatic_number(g, limits, None, orbits, masks(vertices(spec)))
+                lo, hi = (plain, plain) if isinstance(plain, int) else (plain.lower, plain.upper)
+                if isinstance(symmetric, int):
+                    assert lo <= symmetric <= hi, spec
+                else:
+                    assert lo <= symmetric.lower and symmetric.upper <= hi, spec
+                    assert not isinstance(plain, int), spec
+                narrower += symmetric != plain
+                cases += 1
+    assert (cases, narrower) == (322, 11)
+
+
+def test_ascent_node_counts_pinned():
+    # exact chi -n 11 -r 2 -s 0 as the CLI runs it: the ascent refutes 6, 7
+    # and 8 at 62, 1,038 and 7,006 of its own nodes; DSATUR, which alone
+    # needs 218,131, stops at its poll at 7,680, when the bounds meet
+    spec = GraphSpec(11, 2, 0)
+    assert ascend(spec, 6, 10**6)[2] == {6: 62, 7: 1038, 8: 7006}
+    g = AdjacencyMatrix.from_graph_spec(spec)
+    sets = masks(vertices(spec))
+    limits = lambda nodes: SolveLimits(max_nodes=nodes, time_budget=1e9)  # noqa: E731
+    orbits = root_orbits(spec)
+    assert exact_chromatic_number(g, limits(7679), None, orbits, sets) == Exhausted(lower=8, upper=9)
+    assert exact_chromatic_number(g, limits(7680), None, orbits, sets) == 9
+
+
+@pytest.mark.parametrize("n", [10, 11, 12, 13])
+def test_cli_kneser_chi_is_lovasz(capsys, n):
+    assert cli.main(["exact", "chi", "-n", str(n), "-r", "2", "-s", "0", "--format", "text"]) == 0
+    assert capsys.readouterr().out == f"chi(G({n}, 2, 0)) = {n - 2}\n"
+
+
+SPEC_731 = GraphSpec(7, 3, 1)
+VERTS_731 = vertices(SPEC_731)
+BAD_SETS = {
+    "wrong length": VERTS_731[:-1],
+    "duplicate": VERTS_731[:-1] + [VERTS_731[0]],
+    "mixed sizes": VERTS_731[:-1] + [(4, 5)],
+    "one r-subset missing": VERTS_731[:-1] + [(4, 5, 7)],
+    # the r-sets of G(7, 3, 1) in the rank order of G(7, 4, 2), its complement spec
+    "rows of another labeling": [tuple(sorted({*range(7)} - {*v})) for v in vertices(GraphSpec(7, 4, 2))],
+}
+
+
+@pytest.mark.parametrize("name", BAD_SETS)
+def test_sets_rejected(capsys, monkeypatch, name):
+    g = AdjacencyMatrix.from_graph_spec(SPEC_731)
+    with pytest.raises(BadInput):
+        exact_chromatic_number(g, sets=masks(BAD_SETS[name]))
+    monkeypatch.setattr(cli, "vertices", lambda spec: BAD_SETS[name])
+    assert cli.main(["exact", "chi", "-n", "7", "-r", "3", "-s", "1"]) == 9
+    assert capsys.readouterr().out == ""
+
+
+def test_sets_only_fix_the_relation_up_to_its_size():
+    # G(7, 3, 2) has the r-sets of G(7, 3, 1) in the same order, and its
+    # adjacency, |a ∩ b| = 2, is a function of the intersection size too
+    g = from_spec(7, 3, 2)
+    assert exact_chromatic_number(g, sets=masks(VERTS_731)) == 6
+    with pytest.raises(BadInput):
+        exact_chromatic_number(g, sets=[-1] + masks(VERTS_731)[1:])

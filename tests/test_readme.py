@@ -24,7 +24,7 @@ def block(heading, language):
 def test_cli_examples(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     lines = [line for line in block("## CLI", "sh").splitlines() if line.startswith("distcolor ")]
-    assert len(lines) == 12
+    assert len(lines) == 13
     quoted = 0
     for line in lines:
         command, _, comment = line.partition("#")
@@ -35,7 +35,7 @@ def test_cli_examples(capsys, monkeypatch, tmp_path):
         if expected:
             assert out == expected.group(1) + "\n", line
             quoted += 1
-    assert quoted == 2
+    assert quoted == 3
     assert (tmp_path / "cert.json").is_file()
 
 
