@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import errors
 from .bounds import BoundsReport, aggregate
@@ -69,7 +70,40 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte for byte.
+
+    With ``indent`` set, CPython skips its C encoder and sends every value
+    through the pure-Python generators, one per label of a certificate.
+    Here containers are written recursively: a list of exact ints is one
+    join over their reprs and strings go through the C string escaper.
+    Anything else (a float, a tuple, an empty container, a dict with
+    non-string keys) goes to ``json.dumps`` and is re-indented to its depth.
+    Every JSON artifact of the CLI is written here.
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, newline: str) -> str:
+    """obj as indented JSON; ``newline`` is a line break and the indent of obj's line."""
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is bool or obj is None:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = newline + "  "
+    if kind is list and obj:
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = (_json_value(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and obj and set(map(type, obj)) == {str}:
+        items = (f"{encode_basestring_ascii(k)}: {_json_value(obj[k], inner)}" for k in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # JSON text holds no raw line breaks inside strings, so this only re-indents
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

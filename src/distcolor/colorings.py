@@ -63,7 +63,11 @@ class Coloring:
         count = capped_vertex_count(self.spec, MAX_ENUMERATION_VERTICES)
         if len(self.labels) != count:
             raise IncompleteColoring(f"{len(self.labels)} labels for {count} vertices")
-        if any(type(c) is not int or not 0 <= c < self.palette_bound for c in self.labels):
+        # one pass each at C level: exact ints (no bool), then the range
+        labels = self.labels
+        if labels and (
+            set(map(type, labels)) != {int} or min(labels) < 0 or max(labels) >= self.palette_bound
+        ):
             raise BadInput(f"labels must be integers in [0, {self.palette_bound})")
 
     @property
@@ -234,6 +238,23 @@ def f_select(bip: CircleBipartition, index: int, x: int, y: int) -> int:
     return _f(bip.sides[(y - x) % bip.p], index, x, y)
 
 
+def _sum_labels(n: int, r: int) -> list[int]:
+    """sum(v) mod n for every r-set v of range(n), in colex order, block by block.
+
+    The r-sets with one upper part u = (x2 < ... < xr) take consecutive
+    ranks for x1 = 0, ..., x2 - 1 (x2 reads n when r = 1), and their labels
+    (x1 + sum(u)) mod n are one slice of range(n) written twice. The upper
+    parts run in colex order, from a reversed ``combinations`` pass over
+    the descending ground set as in ``vertices``.
+    """
+    cycle = list(range(n)) * 2
+    labels: list[int] = []
+    for u in reversed(list(combinations(range(n - 1, 0, -1), r - 1))):
+        start = sum(u) % n
+        labels += cycle[start : start + (u[-1] if u else n)]
+    return labels
+
+
 def color_theorem1(n: int) -> Coloring:
     """Color G(n, 3, 2) with n - 2 (preferred) or n - 1 colors.
 
@@ -246,8 +267,11 @@ def color_theorem1(n: int) -> Coloring:
     - one special m: label x1 + x2 + f_i(x1, x2) mod p, with f_1 for the
       lower special and f_2 for the higher one.
 
-    The n = p + 1 case is the p + 2 coloring restricted to triples that
-    avoid the largest ground element, so no relabeling is needed.
+    The ranks below C(p, 3) are exactly the triples inside Z_p, so that
+    prefix is the sum coloring of G(p, 3, 2), built by ``_sum_labels``
+    with no vertex tuples; the blocks x3 = p and x3 = p + 1 follow in colex
+    order. The n = p + 1 case is the p + 2 coloring restricted to triples
+    that avoid the largest ground element, so no relabeling is needed.
     """
     # the cap comes first: on a huge n the prime search's trial division
     # and the O(p) circle walk can run for hours; n < 3 has no spec and no
@@ -258,28 +282,26 @@ def color_theorem1(n: int) -> Coloring:
     if p is None:
         raise UnsupportedN(f"no qualifying prime at n - 2 or n - 1 for n = {n}")
     sides = _circle_sides(p)
-    spec = GraphSpec(n, 3, 2)
-    labels = []
-    for x1, x2, x3 in vertices(spec):
-        if x3 < p:
-            c = x1 + x2 + x3
-        elif x2 >= p:
-            c = 3 * x1
-        else:
-            c = x1 + x2 + _f(sides[x2 - x1], 1 if x3 == p else 2, x1, x2)
-        labels.append(c % p)
-    return Coloring(spec, tuple(labels), Method.THEOREM1, p)
+    labels = _sum_labels(p, 3)
+    for x3 in range(p, n):  # one special element x3, f_1 at p and f_2 at p + 1
+        index = x3 - p + 1
+        for x2 in range(1, p):
+            labels += [(x1 + x2 + _f(sides[x2 - x1], index, x1, x2)) % p for x1 in range(x2)]
+    if n == p + 2:  # both specials: x2 = p, x3 = p + 1
+        labels += [3 * x1 % p for x1 in range(p)]
+    return Coloring(GraphSpec(n, 3, 2), tuple(labels), Method.THEOREM1, p)
 
 
 def color_sum(n: int, r: int) -> Coloring:
     """Color G(n, r, r - 1) with n colors: label = sum of elements mod n.
 
     Adjacent vertices differ in one element, so their labels differ by a
-    nonzero residue.
+    nonzero residue. The labels come block by block from ``_sum_labels``,
+    with no vertex tuples.
     """
     spec = GraphSpec(n, r, r - 1)
-    labels = tuple(sum(v) % n for v in vertices(spec))
-    return Coloring(spec, labels, Method.SUM_MOD_N, n)
+    capped_vertex_count(spec, MAX_ENUMERATION_VERTICES)
+    return Coloring(spec, tuple(_sum_labels(n, r)), Method.SUM_MOD_N, n)
 
 
 def _symmetric_values(v: RSubset, h: int, mod: int) -> list[int]:

@@ -303,6 +303,7 @@ def exact_chromatic_number(
                     return
 
         walk(len(clique), uncolored, planes)
+        del walk  # it calls itself: unbound, the call's state is freed without a collection
     if not _proper(g, best_assign, best):
         raise InternalContradiction(f"the incumbent is not a proper {best}-coloring")
     if lb > best:
@@ -445,17 +446,23 @@ def _ascent(
 
         low = uncolored & -uncolored
         u = low.bit_length() - 1
-        return (yield from grow(low, rows[u], uncolored & ~rows[u] ^ low, 0, refine(base, sets[u])))
+        try:
+            return (yield from grow(low, rows[u], uncolored & ~rows[u] ^ low, 0, refine(base, sets[u])))
+        finally:  # also when the caller closes the paused search
+            del grow  # it calls itself: unbound, the class's state is freed without a collection
 
-    while True:
-        found = yield from color(0, full, [ground])
-        if nodes > max_nodes:
-            return
-        if found:
-            yield k, nodes, colors[:]
-            return
-        k += 1
-        yield k, nodes, None
+    try:
+        while True:
+            found = yield from color(0, full, [ground])
+            if nodes > max_nodes:
+                return
+            if found:
+                yield k, nodes, colors[:]
+                return
+            k += 1
+            yield k, nodes, None
+    finally:
+        del color  # grow calls it, so it holds itself; unbound, as above
 
 
 def _proper(g: AdjacencyMatrix, assign: list[int], k: int) -> bool:
@@ -604,6 +611,7 @@ def exact_independence_number(
             if hit:
                 break
             live ^= orbit
+    del expand  # it calls itself: unbound, the call's state is freed without a collection
     result_mask = sum(1 << label[i] for i in range(n) if best_mask >> i & 1)
     if not _independent(g, result_mask) or result_mask.bit_count() != best:
         raise InternalContradiction(f"the incumbent is not an independent set of size {best}")

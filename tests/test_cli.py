@@ -8,6 +8,8 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distcolor import cli, exact
 from distcolor.cli import main
@@ -283,11 +285,46 @@ PINNED_STDOUT = [
      "912c49aa9c7240ae1a8719d8e640b5d1f027cc84b1c7769f8b14afbb162fb387"),
     (("color", "--method", "sum", "-n", "11", "-r", "8"),
      "bf0276ff124fd29a385e3bc81290d291ce8b06832884ee7ccae754ae9161e92e"),
+    (("bounds", "-n", "30", "-r", "3", "-s", "1"),
+     "3a8b111958c7a160d5679cceffdd31cf363394ba8c3cb8df80295eb05b2203e9"),
+    (("exact", "chi", "-n", "9", "-r", "2", "-s", "1"),
+     "4e21ce4248ced8e541af2393fb82eb87441170bd77fc311032a72a58de2726e5"),
 ]
 PINNED_IDS = ["bhset", "scan-condition", "scan-condition-1e6"]
 PINNED_IDS += ["circles-7", "circles-23", "circles-199"]
 PINNED_IDS += ["theorem1-9", "theorem1-33", "theorem1-49"]
 PINNED_IDS += ["sum-13-4", "bose-chowla-17-4-2", "symmetric-13-4-2", "sum-11-8"]
+PINNED_IDS += ["bounds-30-3-1", "exact-chi-9-2-1"]
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.text()  # non-ASCII, control characters and surrogates included
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=8), inner, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_PAYLOADS)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_edge_cases():
+    cases = [
+        [], {}, [[]], [{}], {"": []}, [True, 1], [1, True], [1, 1.0], [-(2**70), 2**70],
+        {"b": {"a": None}, "a": ["\u00e9\n\x00\ud800"]}, (1, (2, [3])), {1: [2], 0: {"x": 3}},
+        [float("nan"), float("inf")], {"k": [[1, 2], [3, 4]]},
+    ]
+    for obj in cases:
+        assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=PINNED_IDS)

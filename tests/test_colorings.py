@@ -1,5 +1,6 @@
 """Tests for circles, the pair functions, and all four colorings."""
 
+import math
 import random
 import tracemalloc
 
@@ -41,6 +42,7 @@ from distcolor.numtheory import (
     multiplicative_order,
     next_prime,
     primes_in_class,
+    theorem1_prime,
 )
 
 
@@ -299,6 +301,44 @@ def test_color_sum():
     col = color_sum(12, 5)
     assert col.colors_used <= 12
     assert verify_proper(col.spec, col) is None
+
+
+def theorem1_per_triple(n):
+    """color_theorem1's labels by its three rules, one triple of vertices() at a time."""
+    p = theorem1_prime(n)
+    sides = colorings._circle_sides(p)
+    labels = []
+    for x1, x2, x3 in vertices(GraphSpec(n, 3, 2)):
+        if x3 < p:
+            c = x1 + x2 + x3
+        elif x2 >= p:
+            c = 3 * x1
+        else:
+            c = x1 + x2 + colorings._f(sides[x2 - x1], 1 if x3 == p else 2, x1, x2)
+        labels.append(c % p)
+    return tuple(labels)
+
+
+def test_color_theorem1_blocks_match_per_triple_rules():
+    # every n up to 120 with a qualifying prime, at p = n - 2 and at p = n - 1
+    offsets = set()
+    for n in range(5, 121):
+        p = theorem1_prime(n)
+        if p is None:
+            continue
+        offsets.add(n - p)
+        col = color_theorem1(n)
+        assert col.labels == theorem1_per_triple(n)
+        # the ranks below C(p, 3) are the triples inside Z_p: the sum coloring of G(p, 3, 2)
+        assert col.labels[: math.comb(p, 3)] == color_sum(p, 3).labels
+    assert offsets == {1, 2}
+
+
+def test_color_sum_blocks_match_vertex_sums():
+    for n in range(1, 15):
+        for r in range(1, n + 1):
+            col = color_sum(n, r)
+            assert col.labels == tuple(sum(v) % n for v in vertices(col.spec))
 
 
 def test_color_symmetric():

@@ -5,13 +5,14 @@ here (plain backtracking colorability, subset enumeration); larger ones
 against analytic certificates.
 """
 
+import gc
 import math
 
 import pytest
 
 from distcolor import cli
 from distcolor.bounds import aggregate, counting_lower_bound, independence_upper_bound
-from distcolor.colorings import best_construction
+from distcolor.colorings import best_construction, color_theorem1, verify_proper
 from distcolor.distgraph import GraphSpec, canonical, edges, root_orbits, vertex_count, vertices
 from distcolor.errors import BadInput, InternalContradiction, TooLarge
 from distcolor import exact
@@ -529,6 +530,48 @@ def test_ascent_node_counts_pinned():
     orbits = root_orbits(spec)
     assert exact_chromatic_number(g, limits(7679), None, orbits, sets) == Exhausted(lower=8, upper=9)
     assert exact_chromatic_number(g, limits(7680), None, orbits, sets) == 9
+
+
+def cyclic_garbage(call):
+    """The objects that call leaves for the cycle collector; 0 when reference counts free all."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_solver_calls_leave_no_cyclic_garbage(capsys):
+    # the recursive closures and the ascent's generators call themselves;
+    # every return path unbinds them, so a finished call's rows, sets and
+    # tables go at once instead of at the next full collection
+    spec = GraphSpec(11, 2, 0)
+    g = AdjacencyMatrix.from_graph_spec(spec)
+    orbits, sets = root_orbits(spec), masks(vertices(spec))
+    budget = SolveLimits(max_nodes=1000, time_budget=1e9)
+    small = AdjacencyMatrix.from_graph_spec(GraphSpec(8, 2, 0))  # searched, not settled by its bounds
+    calls = {
+        "chi with orbits and sets": lambda: exact_chromatic_number(g, SolveLimits(), None, orbits, sets),
+        "chi on a budget": lambda: exact_chromatic_number(g, budget, None, orbits, sets),
+        "chi, DSATUR alone": lambda: exact_chromatic_number(small),
+        "alpha with orbits": lambda: exact_independence_number(g, SolveLimits(), orbits),
+        "alpha on a budget": lambda: exact_independence_number(g, SolveLimits(max_nodes=3), orbits),
+        "ascent to a coloring": lambda: ascend(GraphSpec(7, 2, 0), 3, 10**6),
+        "theorem1 and verify": lambda: verify_proper(GraphSpec(9, 3, 2), color_theorem1(9)),
+    }
+    assert isinstance(calls["chi on a budget"](), Exhausted)
+    assert isinstance(calls["alpha on a budget"](), Exhausted)
+    lower, found, _ = calls["ascent to a coloring"]()
+    assert lower == 5 and found is not None
+    for name, call in calls.items():
+        assert cyclic_garbage(call) == 0, name
+    # and through the CLI, once its parser is built
+    main = lambda: cli.main(["exact", "chi", "-n", "11", "-r", "2", "-s", "0"])  # noqa: E731
+    main()
+    assert cyclic_garbage(main) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("n", [10, 11, 12, 13])
