@@ -29,7 +29,7 @@ from .colorings import (
     color_theorem1,
     verify_proper,
 )
-from .distgraph import GraphSpec, canonical, root_orbits, vertices
+from .distgraph import GraphSpec, canonical, root_orbits, vertex_masks
 from .errors import BadInput, Error, TooLarge
 from .exact import (
     AdjacencyMatrix,
@@ -234,7 +234,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         seed = best_construction(spec)
         labels = None if seed is None else seed.labels
         # every permutation of the ground set is an automorphism; the solver checks the sets
-        sets = [sum(1 << x for x in v) for v in vertices(spec)]
+        sets = vertex_masks(spec)
         result = exact_chromatic_number(graph, limits, labels, orbits, sets)
     else:
         result = exact_independence_number(graph, limits, orbits)

@@ -19,8 +19,11 @@ Four construction families:
 ``verify_proper`` checks any coloring from the graph's structure and the
 label array alone, so it is independent of every construction above. For
 s = r - 1 it checks that each star (the vertices through one (r-1)-core,
-a clique) has distinct labels; otherwise it tests the pairs inside each
-label class, the only pairs that can be monochromatic edges.
+a clique) has distinct labels: no (core, label) key may repeat among the
+V * r incidences. The keys are built from slices at C level and checked in
+sets of bounded size, a run of core tops at a time, so Python steps go per
+slice, not per key. Otherwise it tests the pairs inside each label class,
+the only pairs that can be monochromatic edges.
 """
 
 from __future__ import annotations
@@ -30,11 +33,12 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
+from operator import add
 
 # edges and check_t1_condition are unused here; perfbench/spans.py rebinds
 # them when it traces a run.
 from .distgraph import MAX_ENUMERATION_VERTICES, GraphSpec, RSubset, edges, is_edge, unrank
-from .distgraph import capped_vertex_count, vertex_count, vertices
+from .distgraph import capped_vertex_count, vertex_count, vertex_masks, vertices
 from .errors import BadInput, IncompleteColoring, InternalContradiction, InvalidPrime, NotPrime
 from .errors import OddCycle, UnsupportedN
 from .gf import bose_chowla_set
@@ -391,35 +395,145 @@ def best_construction(spec: GraphSpec) -> Coloring | None:
     return replace(coloring, labels=tuple(first.setdefault(c, len(first)) for c in coloring.labels))
 
 
+class _StarRuns:
+    """The (core, label) incidences of G(n, r, r - 1), cut into runs of bounded size.
+
+    An incidence is a vertex k and an (r-1)-core c inside it, with key
+    ``mult * rank(c) + labels[k]``. Iterating yields runs (floor, chunks);
+    a run holds every incidence of its cores, those whose top lies in a
+    range of consecutive tops. A chunk (start, count, shift, arrays) stands
+    for the ranks k = start + j, j < count, once per array a, with key
+    a[j] + shift + labels[k] (a None reads as zeros). Every member of a
+    run's cores ranks floor or more, and floors ascend.
+
+    Level m is the m-sets of range(N), vertex ranks vb + colex rank, cores
+    cb + colex rank. The block of top t takes ranks C(t, m) on, and its
+    vertex at position q is w + {t} with w the (m-1)-set of rank q:
+    dropping t leaves a core of rank q, dropping the i-th element of w one
+    of rank C(t, m - 1) + drops[m - 1][i][q] / mult. So the cores with tops
+    in [t0, t1) meet block x > t0 in the positions C(t0, m - 1) to
+    C(min(x, t1), m - 1), and block t in [t0, t1) in its m - 1 drop arrays.
+
+    Runs group consecutive tops up to ``size`` incidences. A top with more
+    is split by its cores' second tops: the cores with top t are c + {t},
+    c an (m-2)-set of range(t), so their members below t are the level m - 1
+    incidences of range(t), and a frame (m, N, vb, cb, t) adds to each of
+    those runs its slices of the blocks above t. At level 2 a top has one
+    core and N - 1 incidences and is never split.
+    """
+
+    def __init__(self, n: int, r: int, mult: int, size: int) -> None:
+        self.n, self.r, self.mult, self.size = n, r, mult, size
+        self.binom = [[math.comb(x, j) for j in range(r + 1)] for x in range(n + 1)]
+        # drops[k][i][q] / mult: the rank of the k-set of rank q less its
+        # i-th element, built block by block up to block ends[k]
+        self.drops: dict[int, list[list[int]]] = {}
+        self.ends: dict[int, int] = {}
+
+    def __iter__(self):
+        if self.r == 1:  # one star: the empty core, in every vertex
+            yield 0, [(0, self.n, 0, [None])]
+        else:
+            yield from self._runs(self.r, self.n, 0, 0, self.r - 2, self.n, [])
+
+    def _drop_arrays(self, k: int, length: int) -> list:
+        if k == 1:  # the 1-sets less their element: all the empty set, rank 0
+            return [None]
+        arrays = self.drops.setdefault(k, [[] for _ in range(k)])
+        x = self.ends.get(k, k - 1)
+        while len(arrays[0]) < length:  # block x: the k-sets w + {x}, w of rank q < C(x, k - 1)
+            width = self.binom[x][k - 1]
+            base = self.mult * width
+            arrays[k - 1] += range(0, base, self.mult)
+            for i, lower in enumerate(self._drop_arrays(k - 1, width)):
+                arrays[i] += [base] * width if lower is None else map(base.__add__, lower[:width])
+            x += 1
+        self.ends[k] = x
+        return arrays
+
+    def _chunks(self, m, N, vb, cb, t0, t1, frames):
+        binom, mult = self.binom, self.mult
+        lo, hi = binom[t0][m - 1], binom[t1][m - 1]
+        cores = [list(range(mult * (cb + lo), mult * (cb + hi), mult))]
+        out = [
+            (fvb + binom[x][f] + cb + lo - fcb, hi - lo, 0, cores)
+            for f, fN, fvb, fcb, ft in frames
+            for x in range(ft + 1, fN)
+        ]
+        out += (
+            (vb + binom[x][m] + lo, binom[min(x, t1)][m - 1] - lo, 0, cores) for x in range(t0 + 1, N)
+        )
+        for t in range(t0, t1):
+            if width := binom[t][m - 1]:  # block t; its cores with top t start at cb + width
+                arrays = self._drop_arrays(m - 1, width)
+                out.append((vb + binom[t][m], width, mult * (cb + width), arrays))
+        return out
+
+    def _runs(self, m, N, vb, cb, lo, hi, frames):
+        # the (m-1)-cores of range(N) with top t in [lo, hi), N - m + 1 members each
+        binom, size = self.binom, self.size
+        weight = [binom[t][m - 2] * (N - m + 1) for t in range(hi)]
+        t = lo
+        while t < hi:
+            if m > 2 and weight[t] > size:
+                inner = (vb + binom[t][m], cb + binom[t][m - 1])
+                yield from self._runs(m - 1, t, *inner, m - 3, t, frames + [(m, N, vb, cb, t)])
+                t += 1
+                continue
+            t0, total = t, weight[t]
+            t += 1
+            while t < hi and total + weight[t] <= size:
+                total += weight[t]
+                t += 1
+            # every member of a core with top t ranks C(t, r) or more
+            floor = binom[frames[0][4] if frames else t0][self.r]
+            yield floor, self._chunks(m, N, vb, cb, t0, t, frames)
+
+
+def _star_run_size(n: int) -> int:
+    """Incidences per star-check run: about 1 MiB of keys, and enough to
+    spread the run's n or so slice steps over many keys."""
+    return max(10**4, 64 * n)
+
+
 def _first_star_conflict(spec: GraphSpec, labels: tuple[int, ...]) -> tuple[int, int] | None:
     """Smallest same-label (rank, rank) pair inside a star, for s = r - 1.
 
-    The star of an (r-1)-core holds the core plus one outside element x;
-    its members pairwise share the core, and every edge lies in the star
-    of its ends' intersection. Member ranks ascend with x.
+    The star of an (r-1)-core holds the core plus one outside element; its
+    members pairwise share the core, and every edge lies in the star of its
+    ends' intersection. So the coloring is proper iff no key mult * core +
+    label occurs twice among the V * r incidences, checked run by run in
+    sets at C level, one Python step per slice of keys. A run with a
+    repeated key is walked: the two smallest ranks of each repeated key
+    are the smallest same-label pair of its star, and the smallest pair of
+    all runs is the first violation. Runs stop once their floor passes the
+    low end of the best pair.
     """
-    n, r = spec.n, spec.r
-    binom = [[math.comb(x, j) for x in range(n)] for j in range(r + 1)]
+    mult = max(labels) + 1
+
+    def keys(start, count, shift, arrays):
+        part = labels[start : start + count]
+        if shift:  # shift + label, from a table of mult new ints when that is fewer
+            add_shift = list(range(shift, shift + mult)).__getitem__ if count > mult else shift.__add__
+            part = map(add_shift, part) if len(arrays) == 1 else list(map(add_shift, part))
+        return [part if a is None else map(add, a, part) for a in arrays]  # map stops with part
+
     best = None
-    for core in combinations(range(n), r - 1):
-        # colex rank of core + {x}: x sits at position i, the number of core
-        # elements below it, and the core elements above it move up one
-        i, below, above = 0, 0, sum(binom[j + 2][c] for j, c in enumerate(core))
-        ranks: list[int] = []
-        for x in range(n):
-            if i < r - 1 and x == core[i]:
-                below += binom[i + 1][x]
-                above -= binom[i + 2][x]
-                i += 1
-            else:
-                ranks.append(below + binom[i + 1][x] + above)
-        star = [labels[k] for k in ranks]
-        if len(set(star)) < len(star):
-            first: dict[int, int] = {}
-            for k, c in zip(ranks, star):
-                j = first.setdefault(c, k)
-                if j != k and (best is None or (j, k) < best):
-                    best = (j, k)
+    for floor, chunks in _StarRuns(spec.n, spec.r, mult, _star_run_size(spec.n)):
+        if best is not None and best[0] < floor:
+            break
+        seen: set[int] = set()
+        for chunk in chunks:
+            for part in keys(*chunk):
+                seen.update(part)
+        if len(seen) < sum(count * len(arrays) for _, count, _, arrays in chunks):
+            members: dict[int, list[int]] = defaultdict(list)
+            for chunk in chunks:
+                for part in keys(*chunk):
+                    for k, key in zip(range(chunk[0], chunk[0] + chunk[1]), part):
+                        members[key].append(k)
+            pair = min(tuple(sorted(ks)[:2]) for ks in members.values() if len(ks) > 1)
+            best = pair if best is None else min(best, pair)
     return best
 
 
@@ -429,7 +543,7 @@ def _first_class_conflict(spec: GraphSpec, labels: tuple[int, ...]) -> tuple[int
     Members ascend, so a class stops at its first adjacent pair, or at a
     low end above the best low end found so far.
     """
-    masks = [sum(1 << x for x in v) for v in vertices(spec)]
+    masks = vertex_masks(spec)
     classes: dict[int, list[int]] = defaultdict(list)
     for k, c in enumerate(labels):
         classes[c].append(k)
@@ -450,8 +564,9 @@ def verify_proper(spec: GraphSpec, coloring: Coloring) -> Violation | None:
     """Return the first monochromatic edge, the smallest (rank, rank) pair, or None.
 
     For s = r - 1 every star over an (r-1)-core is a clique and the stars
-    cover every edge, so each star must have distinct labels (V * r label
-    lookups). Otherwise only pairs inside a label class can conflict, and
+    cover every edge, so each star must have distinct labels: no repeat
+    among V * r (core, label) keys, checked at C level in sets of bounded
+    size. Otherwise only pairs inside a label class can conflict, and
     those are tested (at most alpha * V pairs when proper). A reported
     pair is re-checked with is_edge and the labels before it is returned.
     """

@@ -119,6 +119,24 @@ def vertices(spec: GraphSpec) -> list[RSubset]:
     return [t[::-1] for t in combinations(range(spec.n - 1, -1, -1), spec.r)][::-1]
 
 
+def vertex_masks(spec: GraphSpec) -> list[int]:
+    """The bitmask sum(1 << x for x in v) of every vertex, in colex order.
+
+    Built level by level with no tuples: the k-sets of range(n - r + k),
+    the only k-sets that start an r-set, come block by block of their top
+    t as mask(w + {t}) = mask(w) | 1 << t over the (k-1)-sets w of range(t).
+    """
+    capped_vertex_count(spec, MAX_ENUMERATION_VERTICES)
+    n, r = spec.n, spec.r
+    masks = [0]
+    for k in range(1, r + 1):
+        level: list[int] = []
+        for t in range(k - 1, n - r + k):
+            level += map((1 << t).__or__, masks[: math.comb(t, k - 1)])
+        masks = level
+    return masks
+
+
 def root_orbits(spec: GraphSpec) -> list[int]:
     """Orbits of vertex 0's stabilizer on its non-neighbors, as rank bitmasks.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Generator, Iterator, Sequence
 
 # edges is unused here; perfbench/spans.py rebinds it when it traces a run.
-from .distgraph import GraphSpec, capped_vertex_count, edges, vertices
+from .distgraph import GraphSpec, capped_vertex_count, edges, vertex_masks
 from .errors import BadInput, InternalContradiction, TooLarge
 
 # One vertex cap per solver, sized for desk-scale searches: the DSATUR
@@ -64,7 +64,7 @@ class AdjacencyMatrix:
         s < r keeps the rows irreflexive.
         """
         count = capped_vertex_count(spec, ALPHA_MAX_VERTICES, "matrix")
-        masks = [sum(1 << x for x in v) for v in vertices(spec)]
+        masks = vertex_masks(spec)
         s = spec.s
         rows = [sum(1 << j for j, b in enumerate(masks) if (a & b).bit_count() == s) for a in masks]
         return cls(count, tuple(rows))

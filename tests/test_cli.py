@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from distcolor import cli, exact
 from distcolor.cli import main
-from distcolor.distgraph import GraphSpec, vertex_count
+from distcolor.distgraph import GraphSpec, vertex_count, vertices
 from distcolor.gf import verify_bh
 from distcolor.numtheory import check_t1_condition
+from test_star_check import reference_first_star_conflict
 
 
 def run(capsys, *argv):
@@ -86,6 +87,23 @@ def test_verify_rejects_tampered_certificate(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 3
     assert out.startswith("improper")
+
+
+def test_verify_huge_palette_certificate(capsys, tmp_path):
+    # labels near 10^30 make every star-check key a many-digit int
+    big = 10**30
+    spec = GraphSpec(5, 2, 1)
+    labels = [big + sum(v) % 5 for v in vertices(spec)]
+    cert = {"n": 5, "r": 2, "s": 1, "method": "sum", "palette_bound": big + 5, "labels": labels}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cert))
+    assert run(capsys, "verify", str(path)) == (0, "proper coloring of G(5, 2, 1): 5 colors, method sum\n", "")
+    labels[7] = labels[2]  # (1, 4) takes the label of its neighbor (1, 2)
+    path.write_text(json.dumps(dict(cert, labels=labels)))
+    code, out, err = run(capsys, "verify", str(path))
+    u, v = reference_first_star_conflict(spec, tuple(labels))
+    want = f"improper: {vertices(spec)[u]} and {vertices(spec)[v]} share color {labels[u]}\n"
+    assert (code, out, err) == (3, want, "")
 
 
 def test_color_improper_construction_exits_3(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from distcolor.distgraph import (
     root_orbits,
     unrank,
     vertex_count,
+    vertex_masks,
     vertices,
 )
 from distcolor.errors import BadInput, OutOfRange, TooLarge
@@ -236,3 +237,13 @@ def test_root_orbits_are_the_stabilizer_orbits():
                 assert sorted(got) == sorted(orbits), spec
                 meet = [len(root & set(verts[(m & -m).bit_length() - 1])) for m in got]
                 assert meet == sorted(set(meet)), spec  # ascending t
+
+
+def test_vertex_masks_match_tuple_masks():
+    for n in range(1, 13):
+        for r in range(1, n + 1):
+            spec = GraphSpec(n, r, 0)
+            assert vertex_masks(spec) == [sum(1 << x for x in v) for v in vertices(spec)], (n, r)
+    with pytest.raises(TooLarge):
+        vertex_masks(GraphSpec(200, 4, 0))
+

@@ -597,7 +597,7 @@ def test_sets_rejected(capsys, monkeypatch, name):
     g = AdjacencyMatrix.from_graph_spec(SPEC_731)
     with pytest.raises(BadInput):
         exact_chromatic_number(g, sets=masks(BAD_SETS[name]))
-    monkeypatch.setattr(cli, "vertices", lambda spec: BAD_SETS[name])
+    monkeypatch.setattr(cli, "vertex_masks", lambda spec: masks(BAD_SETS[name]))
     assert cli.main(["exact", "chi", "-n", "7", "-r", "3", "-s", "1"]) == 9
     assert capsys.readouterr().out == ""
 
