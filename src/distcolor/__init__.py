@@ -39,12 +39,10 @@ from .distgraph import (
     RSubset,
     canonical,
     degree,
-    edge_count,
     edges,
     is_edge,
     neighbors,
     rank,
-    root_orbits,
     unrank,
     vertex_count,
     vertices,
@@ -62,7 +60,6 @@ from .numtheory import (
     ConditionReport,
     check_t1_condition,
     is_prime,
-    legendre_symbol,
     mod_inverse,
     multiplicative_order,
     next_prime,

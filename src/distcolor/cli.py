@@ -29,7 +29,7 @@ from .colorings import (
     color_theorem1,
     verify_proper,
 )
-from .distgraph import GraphSpec, canonical, root_orbits, vertex_masks
+from .distgraph import GraphSpec, canonical, vertex_masks
 from .errors import BadInput, Error, TooLarge
 from .exact import (
     AdjacencyMatrix,
@@ -228,16 +228,14 @@ def cmd_exact(args: argparse.Namespace) -> int:
     # an isomorphic spec; chi and alpha, the only things reported, agree
     spec = canonical(spec)
     graph = AdjacencyMatrix.from_graph_spec(spec)
-    # G(n, r, s) is vertex-transitive, so both searches may fix vertex 0
-    orbits = root_orbits(spec)
+    # every permutation of the ground set is an automorphism; both solvers check the sets
+    sets = vertex_masks(spec)
     if args.which == "chi":
         seed = best_construction(spec)
         labels = None if seed is None else seed.labels
-        # every permutation of the ground set is an automorphism; the solver checks the sets
-        sets = vertex_masks(spec)
-        result = exact_chromatic_number(graph, limits, labels, orbits, sets)
+        result = exact_chromatic_number(graph, limits, labels, sets)
     else:
-        result = exact_independence_number(graph, limits, orbits)
+        result = exact_independence_number(graph, limits, sets)
     payload: dict = {"which": args.which, "n": args.n, "r": args.r, "s": args.s}
     if isinstance(result, Exhausted):
         payload["exhausted"] = {"lower": result.lower, "upper": result.upper}

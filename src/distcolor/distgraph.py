@@ -74,11 +74,6 @@ def degree(spec: GraphSpec) -> int:
     return math.comb(spec.r, spec.s) * math.comb(spec.n - spec.r, spec.r - spec.s)
 
 
-def edge_count(spec: GraphSpec) -> int:
-    """Number of edges by the handshake identity."""
-    return vertex_count(spec) * degree(spec) // 2
-
-
 def _validate_vertex(spec: GraphSpec, v: RSubset) -> None:
     if len(v) != spec.r:
         raise BadInput(f"vertex {v} does not have {spec.r} elements")
@@ -135,23 +130,6 @@ def vertex_masks(spec: GraphSpec) -> list[int]:
             level += map((1 << t).__or__, masks[: math.comb(t, k - 1)])
         masks = level
     return masks
-
-
-def root_orbits(spec: GraphSpec) -> list[int]:
-    """Orbits of vertex 0's stabilizer on its non-neighbors, as rank bitmasks.
-
-    Vertex 0 is A = {0, ..., r-1}. The permutations of the ground set that
-    fix A form S_r x S_{n-r}; they keep t = |v ∩ A| and carry any r-set to
-    any other with the same t, so each class "t" is one orbit. The
-    non-neighbors of A other than A are the classes t < r with t != s.
-    One mask per nonempty class, in ascending t.
-    """
-    classes: dict[int, int] = {}
-    for k, v in enumerate(vertices(spec)):
-        t = sum(x < spec.r for x in v)
-        if t != spec.s and t < spec.r:
-            classes[t] = classes.get(t, 0) | 1 << k
-    return [classes[t] for t in sorted(classes)]
 
 
 def is_edge(spec: GraphSpec, u: RSubset, v: RSubset) -> bool:

@@ -31,6 +31,28 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _holds(sets: Sequence[int]) -> list[int]:
+    """holds[e]: the vertices whose set holds element e."""
+    holds = [0] * max(sets, default=0).bit_length()
+    for v, m in enumerate(sets):
+        for e in _bits(m):
+            holds[e] |= 1 << v
+    return holds
+
+
+def _meets(holds: Sequence[int], cell: int, full: int) -> list[int]:
+    """at_least[t]: the vertices of full that hold t or more elements of cell.
+
+    One bit-parallel pass per element of cell; t runs to |cell|, and a
+    vertex holds exactly t elements iff it is in at_least[t] & ~at_least[t + 1].
+    """
+    at_least = [full] + [0] * cell.bit_count()
+    for i, e in enumerate(_bits(cell), 1):
+        for t in range(i, 0, -1):
+            at_least[t] |= at_least[t - 1] & holds[e]
+    return at_least
+
+
 @dataclass(frozen=True)
 class AdjacencyMatrix:
     """Symmetric, irreflexive adjacency held as one bitmask row per vertex."""
@@ -61,12 +83,16 @@ class AdjacencyMatrix:
     def from_graph_spec(cls, spec: GraphSpec) -> "AdjacencyMatrix":
         """Rows in rank order: bit j of row i is set iff the r-sets share s elements.
 
-        s < r keeps the rows irreflexive.
+        Row i is the vertices holding exactly s elements of r-set i, from
+        _meets; s < r keeps the rows irreflexive.
         """
         count = capped_vertex_count(spec, ALPHA_MAX_VERTICES, "matrix")
         masks = vertex_masks(spec)
-        s = spec.s
-        rows = [sum(1 << j for j, b in enumerate(masks) if (a & b).bit_count() == s) for a in masks]
+        holds, full, s = _holds(masks), (1 << count) - 1, spec.s
+        rows = []
+        for a in masks:
+            at = _meets(holds, a, full)
+            rows.append(at[s] & ~at[s + 1])
         return cls(count, tuple(rows))
 
     @classmethod
@@ -181,7 +207,6 @@ def exact_chromatic_number(
     g: AdjacencyMatrix,
     limits: SolveLimits = SolveLimits(),
     initial: Sequence[int] | None = None,
-    root_orbits: Sequence[int] | None = None,
     sets: Sequence[int] | None = None,
 ) -> int | Exhausted:
     """Exact chi(g) by DSATUR branch and bound.
@@ -196,29 +221,27 @@ def exact_chromatic_number(
     ``initial``, a color per vertex in 0..k-1, is re-checked and replaces
     the DSATUR incumbent when k is smaller; it only ever lowers the upper
     side. BadInput when its length is wrong or it is not proper.
-    ``root_orbits`` is re-checked and goes to the alpha probe; see
-    exact_independence_number.
 
     ``sets``, the element bitmask of each vertex, states that g is
     G(m, r, s) up to the choice of s: it is checked (BadInput otherwise)
     to be all C(m, r) distinct r-subsets of {0, ..., m-1}, with adjacency
     a function of |a ∩ b| alone, so every permutation of the ground set is
-    an automorphism. A second search, the ascent (_ascent), then decides
-    k-colorability for k = lb, lb + 1, ... one color class at a time under
-    that symmetry. It runs 256 of its own nodes at each of DSATUR's clock
-    polls; each refuted k raises the lower bound, and a k-coloring it
-    finds becomes the incumbent once every smaller k is refuted. DSATUR's
-    tree is unchanged and ends as soon as the bounds meet. Each search
-    counts its own nodes against ``limits.max_nodes``; the deadline is
-    shared. Without ``sets`` the search is DSATUR alone.
+    an automorphism. The sets go on to the alpha probe, which checks them
+    again; see exact_independence_number. A second search, the ascent
+    (_ascent), then decides k-colorability for k = lb, lb + 1, ... one
+    color class at a time under that symmetry. It runs 256 of its own
+    nodes at each of DSATUR's clock polls; each refuted k raises the lower
+    bound, and a k-coloring it finds becomes the incumbent once every
+    smaller k is refuted. DSATUR's tree is unchanged and ends as soon as
+    the bounds meet. Each search counts its own nodes against
+    ``limits.max_nodes``; the deadline is shared. Without ``sets`` the
+    search is DSATUR alone.
     """
     if g.order > CHI_MAX_VERTICES:
         raise TooLarge(f"{g.order} vertices exceeds the chi solver cap {CHI_MAX_VERTICES}")
     n = g.order
     if n == 0:
         return 0
-    if root_orbits is not None:
-        _check_root_orbits(g, root_orbits)
     if sets is not None:
         _check_sets(g, sets)
     deadline = time.monotonic() + limits.time_budget
@@ -237,7 +260,7 @@ def exact_chromatic_number(
     alpha = n  # bounds every color class until the probe proves better
     if lb < best:
         probe = SolveLimits(max_nodes=200_000, time_budget=limits.time_budget)
-        probed = exact_independence_number(g, probe, root_orbits)
+        probed = exact_independence_number(g, probe, sets)
         if not isinstance(probed, Exhausted):
             alpha = probed
             lb = max(lb, -(-n // alpha))
@@ -346,19 +369,15 @@ def _ascent(
     that meet each cell as often as it does.
     """
     n = len(rows)
-    ground = 0
-    for m in sets:
-        ground |= m
-    # holds[e]: the vertices whose set holds element e
-    holds = [sum(1 << v for v, m in enumerate(sets) if m >> e & 1) for e in range(ground.bit_length())]
+    holds = _holds(sets)
+    ground = (1 << len(holds)) - 1
     full = (1 << n) - 1
     colors = [0] * n
     nodes = 0
 
-    # meets[cell, t]: the vertices with t or more elements in cell. Cells are
-    # intersections of a few r-sets and their complements, and recur: the
-    # longest runs measured keep about 40 entries
-    meets: dict[tuple[int, int], int] = {}
+    # meets[cell]: _meets of the cell. Cells are intersections of a few
+    # r-sets and their complements, and recur
+    meets: dict[int, list[int]] = {}
 
     def orbit(m: int, cells: list[int]) -> int:
         # |w| = |m|, so meeting each cell that m meets at least as often suffices
@@ -366,14 +385,10 @@ def _ascent(
         for cell in cells:
             t = (m & cell).bit_count()
             if t:
-                mask = meets.get((cell, t))
-                if mask is None:
-                    at_least = [full] + [0] * t  # at_least[i]: i or more of the elements seen
-                    for e in _bits(cell):
-                        for i in range(t, 0, -1):
-                            at_least[i] |= at_least[i - 1] & holds[e]
-                    mask = meets[cell, t] = at_least[t]
-                out &= mask
+                at_least = meets.get(cell)
+                if at_least is None:
+                    at_least = meets[cell] = _meets(holds, cell, full)
+                out &= at_least[t]
         return out
 
     def split(cells: list[int], cls: int) -> list[int]:
@@ -476,20 +491,15 @@ def _relabel(mask: int, pos: dict[int, int]) -> int:
     return sum(1 << pos[w] for w in _bits(mask))
 
 
-def _check_root_orbits(g: AdjacencyMatrix, root_orbits: Sequence[int]) -> None:
-    """BadInput unless the masks partition the non-neighbors of vertex 0."""
-    full = (1 << g.order) - 1
-    union = 0
-    for orbit in root_orbits:
-        if not 0 < orbit <= full or orbit & union:
-            raise BadInput("root orbits must be nonempty, disjoint masks of vertices")
-        union |= orbit
-    if union != full ^ g.rows[0] ^ 1:
-        raise BadInput("root orbits must cover exactly the non-neighbors of vertex 0")
+def _check_sets(g: AdjacencyMatrix, sets: Sequence[int]) -> list[int]:
+    """Vertex 0's root orbits; BadInput unless ground-set permutations are automorphisms.
 
-
-def _check_sets(g: AdjacencyMatrix, sets: Sequence[int]) -> None:
-    """BadInput unless sets are all C(m, r) r-subsets of {0..m-1}, adjacency a function of |a ∩ b|."""
+    The sets must be all C(m, r) r-subsets of {0..m-1}, and adjacency a
+    function of |a ∩ b|: each vertex v's classes "t elements of sets[v]",
+    from _meets, must each lie all inside or all outside row v, with one
+    relation t -> edge shared by every vertex. The orbits are vertex 0's
+    classes with no edge, t < r and nonempty, in ascending t.
+    """
     if len(sets) != g.order:
         raise BadInput(f"{len(sets)} sets for {g.order} vertices")
     ground = 0
@@ -502,18 +512,27 @@ def _check_sets(g: AdjacencyMatrix, sets: Sequence[int]) -> None:
         raise BadInput("sets must be distinct r-subsets of {0, ..., m-1}")
     if math.comb(ground.bit_length(), r) != len(sets):
         raise BadInput(f"sets must hold all C({ground.bit_length()}, {r}) r-subsets")
-    relation: dict[int, int] = {}
+    holds, full = _holds(sets), (1 << g.order) - 1
+    relation: dict[int, bool] = {}
+    orbits: list[int] = []
     for v, (a, row) in enumerate(zip(sets, g.rows)):
-        for w in range(v + 1, g.order):
-            edge = row >> w & 1
-            if relation.setdefault((a & sets[w]).bit_count(), edge) != edge:
+        at = _meets(holds, a, full)
+        for t in range(r):  # t = r is v alone: the sets are distinct
+            cls = at[t] & ~at[t + 1]
+            if not cls:
+                continue
+            edge = row & cls == cls
+            if row & cls not in (0, cls) or relation.setdefault(t, edge) != edge:
                 raise BadInput("adjacency must depend only on the size of the intersection")
+            if v == 0 and not edge:
+                orbits.append(cls)
+    return orbits
 
 
 def exact_independence_number(
     g: AdjacencyMatrix,
     limits: SolveLimits = SolveLimits(),
-    root_orbits: Sequence[int] | None = None,
+    sets: Sequence[int] | None = None,
 ) -> int | Exhausted:
     """Exact alpha(g) as a maximum clique search on the complement.
 
@@ -521,12 +540,15 @@ def exact_independence_number(
     complement subgraph), the standard bitset scheme. The certificate set
     is kept and re-checked before returning.
 
-    ``root_orbits`` passes in a symmetry that the solver cannot check: g
-    is vertex-transitive, and the masks are the orbits, on the
-    non-neighbors of vertex 0, of the automorphisms that fix vertex 0.
-    The search then fixes vertex 0 at depth 1 and, at depth 2, branches
-    once per orbit on its lowest member and drops the whole orbit from
-    the candidates before the next branch (orbital branching, Ostrowski,
+    ``sets``, the element bitmask of each vertex, is checked as in
+    exact_chromatic_number (BadInput otherwise), so every permutation of
+    the ground set is an automorphism: g is vertex-transitive, and the
+    permutations fixing vertex 0's set A carry any r-set onto any other
+    that meets A as often. The root orbits are therefore vertex 0's
+    non-neighbors, grouped by |sets[v] ∩ A| (_check_sets). The search
+    then fixes vertex 0 at depth 1 and, at depth 2, branches once per
+    orbit on its lowest member and drops the whole orbit from the
+    candidates before the next branch (orbital branching, Ostrowski,
     Linderoth, Rossi and Smriglio, Math. Program. 126, 2011); deeper
     levels run the plain search. This is sound: by transitivity some
     maximum independent set I holds vertex 0. When |I| > 1, let O be the
@@ -534,16 +556,14 @@ def exact_independence_number(
     member of I ∩ O onto O's branch vertex and keeps every orbit as a
     set, so the image of I is as large, holds both branch vertices and
     avoids the orbits before O: the branch on O finds it. When |I| = 1,
-    the greedy incumbent already has size 1. BadInput when the masks do
-    not partition the non-neighbors of vertex 0.
+    the greedy incumbent already has size 1.
     """
     if g.order > ALPHA_MAX_VERTICES:
         raise TooLarge(f"{g.order} vertices exceeds the alpha solver cap {ALPHA_MAX_VERTICES}")
     n = g.order
     if n == 0:
         return 0
-    if root_orbits is not None:
-        _check_root_orbits(g, root_orbits)
+    orbits = None if sets is None else _check_sets(g, sets)
     full = (1 << n) - 1
     # clique search on the complement; relabel by descending complement
     # degree, which sharpens the greedy clique-cover bound
@@ -600,12 +620,12 @@ def exact_independence_number(
                 return
             cand ^= 1 << v
 
-    if root_orbits is None:
+    if orbits is None:
         expand(0, full, 0)
     else:
         root = pos[0]
         live = comp[root]
-        for orbit in (_relabel(o, pos) for o in root_orbits):
+        for orbit in (_relabel(o, pos) for o in orbits):
             v = (orbit & -orbit).bit_length() - 1
             expand(2, live & comp[v], 1 << root | 1 << v)
             if hit:

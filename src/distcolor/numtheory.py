@@ -101,16 +101,6 @@ def multiplicative_order(a: int, p: int) -> int:
     return _order(a, p)
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, via Euler's criterion."""
-    if p == 2 or not is_prime(p):
-        raise InvalidPrime(f"{p} is not an odd prime")
-    e = pow(a % p, (p - 1) // 2, p)
-    if e == 0:
-        return 0
-    return 1 if e == 1 else -1
-
-
 def _t1_report(p: int) -> ConditionReport:
     """The odd-order report for a p already known to be a prime > 3.
 

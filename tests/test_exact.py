@@ -7,13 +7,14 @@ against analytic certificates.
 
 import gc
 import math
+from itertools import permutations
 
 import pytest
 
 from distcolor import cli
 from distcolor.bounds import aggregate, counting_lower_bound, independence_upper_bound
 from distcolor.colorings import best_construction, color_theorem1, verify_proper
-from distcolor.distgraph import GraphSpec, canonical, edges, root_orbits, vertex_count, vertices
+from distcolor.distgraph import GraphSpec, canonical, edges, vertex_count, vertices
 from distcolor.errors import BadInput, InternalContradiction, TooLarge
 from distcolor import exact
 from distcolor.exact import (
@@ -141,6 +142,23 @@ def test_from_graph_spec_matches_edge_stream():
                     rows[a] |= 1 << b
                     rows[b] |= 1 << a
                 assert AdjacencyMatrix.from_graph_spec(spec).rows == tuple(rows), spec
+
+
+def test_from_graph_spec_matches_pairwise_definition():
+    # the bit-parallel rows against |a ∩ b| = s pair by pair, on every spec
+    # with n <= 15 and C(n, r) <= 500, up to the matrix cap
+    cases = 0
+    for n in range(1, 16):
+        for r in range(1, n + 1):
+            if vertex_count(GraphSpec(n, r, 0)) > 500:
+                continue
+            sets = masks(vertices(GraphSpec(n, r, 0)))
+            meet = [[(a & b).bit_count() for b in sets] for a in sets]
+            for s in range(r):
+                rows = tuple(sum(1 << j for j, t in enumerate(row) if t == s) for row in meet)
+                assert AdjacencyMatrix.from_graph_spec(GraphSpec(n, r, s)).rows == rows, (n, r, s)
+                cases += 1
+    assert cases == 514
 
 
 def test_chromatic_exhaustion():
@@ -352,16 +370,17 @@ def test_solve_workload_node_count_pinned():
     spec = canonical(GraphSpec(11, 2, 0))
     assert best_construction(spec) is None
     g = AdjacencyMatrix.from_graph_spec(spec)
-    orbits = root_orbits(spec)
     limits = lambda nodes: SolveLimits(max_nodes=nodes, time_budget=1e9)  # noqa: E731
-    assert exact_chromatic_number(g, limits(218130), None, orbits) == Exhausted(lower=6, upper=9)
-    assert exact_chromatic_number(g, limits(218131), None, orbits) == 9
+    assert exact_chromatic_number(g, limits(218130)) == Exhausted(lower=6, upper=9)
+    assert exact_chromatic_number(g, limits(218131)) == 9
 
 
-def test_root_orbit_search_matches_plain_search():
+def test_root_orbit_search_matches_plain_search(monkeypatch):
     # the window of test_from_graph_spec_matches_edge_stream; the chi
     # searches share a node budget, and their alpha probes set the lower
-    # side, so a probe that differs shows as a different result
+    # side, so a probe that differs shows as a different result. The
+    # ascent is switched off, so sets reach chi only through its probe
+    monkeypatch.setattr(exact, "_ascent", lambda *args: iter(()))
     limits = SolveLimits(max_nodes=1000, time_budget=1e9)
     cases = 0
     for n in range(1, 15):
@@ -371,11 +390,11 @@ def test_root_orbit_search_matches_plain_search():
             for s in range(r):
                 spec = GraphSpec(n, r, s)
                 g = AdjacencyMatrix.from_graph_spec(spec)
-                orbits = root_orbits(spec)
+                sets = masks(vertices(spec))
                 alpha = exact_independence_number(g)
-                assert exact_independence_number(g, root_orbits=orbits) == alpha, spec
+                assert exact_independence_number(g, sets=sets) == alpha, spec
                 chi = exact_chromatic_number(g, limits)
-                assert exact_chromatic_number(g, limits, root_orbits=orbits) == chi, spec
+                assert exact_chromatic_number(g, limits, sets=sets) == chi, spec
                 cases += 1
     assert cases == 322
 
@@ -385,30 +404,34 @@ def test_root_orbits_cut_the_alpha_search():
     # 306, and 712 when it keeps each orbit after branching on it
     spec = GraphSpec(10, 4, 2)
     g = AdjacencyMatrix.from_graph_spec(spec)
-    limits = SolveLimits(max_nodes=500, time_budget=1e9)
-    assert isinstance(exact_independence_number(g, limits), Exhausted)
-    assert exact_independence_number(g, limits, root_orbits(spec)) == 12
+    sets = masks(vertices(spec))
+    limits = lambda nodes: SolveLimits(max_nodes=nodes, time_budget=1e9)  # noqa: E731
+    assert isinstance(exact_independence_number(g, limits(500)), Exhausted)
+    assert exact_independence_number(g, limits(305), sets) == Exhausted(lower=12)
+    assert exact_independence_number(g, limits(306), sets) == 12
 
 
-def test_root_orbits_must_partition_the_non_neighbors():
-    spec = GraphSpec(7, 3, 1)
-    g = AdjacencyMatrix.from_graph_spec(spec)
-    far, near = root_orbits(spec)  # 0 and 2 elements of {0, 1, 2}
-    low = far & -far
-    neighbor = g.rows[0] & -g.rows[0]
-    bad = [
-        [far, near | low],  # overlap
-        [far ^ low, near],  # a non-neighbor missed
-        [far | neighbor, near],  # a neighbor included
-        [far | 1, near],  # vertex 0 included
-        [far, near, 0],  # an empty orbit
-        [far, near, 1 << g.order],  # a vertex out of range
-    ]
-    for orbits in bad:
-        with pytest.raises(BadInput):
-            exact_independence_number(g, root_orbits=orbits)
-        with pytest.raises(BadInput):
-            exact_chromatic_number(g, root_orbits=orbits)
+def test_root_orbits_are_the_stabilizer_orbits():
+    # brute force: apply every permutation of the ground set that fixes
+    # vertex 0 = {0, ..., r - 1} to each of its non-neighbors; the solver
+    # derives its root orbits from the checked sets
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            for s in range(r):
+                spec = GraphSpec(n, r, s)
+                verts = vertices(spec)
+                index = {v: k for k, v in enumerate(verts)}
+                root = set(verts[0])
+                fixing = [p for p in permutations(range(n)) if {p[x] for x in root} == root]
+                orbits = {
+                    sum(1 << k for k in {index[tuple(sorted(p[x] for x in v))] for p in fixing})
+                    for v in verts[1:]
+                    if len(root & set(v)) != s
+                }
+                got = exact._check_sets(AdjacencyMatrix.from_graph_spec(spec), masks(verts))
+                assert sorted(got) == sorted(orbits), spec
+                meet = [len(root & set(verts[(m & -m).bit_length() - 1])) for m in got]
+                assert meet == sorted(set(meet)), spec  # ascending t
 
 
 def test_certificate_rechecks_raise(monkeypatch):
@@ -504,9 +527,8 @@ def test_ascent_agrees_with_plain_search():
             for s in range(r):
                 spec = GraphSpec(n, r, s)
                 g = AdjacencyMatrix.from_graph_spec(spec)
-                orbits = root_orbits(spec)
-                plain = exact_chromatic_number(g, limits, None, orbits)
-                symmetric = exact_chromatic_number(g, limits, None, orbits, masks(vertices(spec)))
+                plain = exact_chromatic_number(g, limits)
+                symmetric = exact_chromatic_number(g, limits, None, masks(vertices(spec)))
                 lo, hi = (plain, plain) if isinstance(plain, int) else (plain.lower, plain.upper)
                 if isinstance(symmetric, int):
                     assert lo <= symmetric <= hi, spec
@@ -527,9 +549,8 @@ def test_ascent_node_counts_pinned():
     g = AdjacencyMatrix.from_graph_spec(spec)
     sets = masks(vertices(spec))
     limits = lambda nodes: SolveLimits(max_nodes=nodes, time_budget=1e9)  # noqa: E731
-    orbits = root_orbits(spec)
-    assert exact_chromatic_number(g, limits(7679), None, orbits, sets) == Exhausted(lower=8, upper=9)
-    assert exact_chromatic_number(g, limits(7680), None, orbits, sets) == 9
+    assert exact_chromatic_number(g, limits(7679), None, sets) == Exhausted(lower=8, upper=9)
+    assert exact_chromatic_number(g, limits(7680), None, sets) == 9
 
 
 def cyclic_garbage(call):
@@ -549,15 +570,15 @@ def test_solver_calls_leave_no_cyclic_garbage(capsys):
     # tables go at once instead of at the next full collection
     spec = GraphSpec(11, 2, 0)
     g = AdjacencyMatrix.from_graph_spec(spec)
-    orbits, sets = root_orbits(spec), masks(vertices(spec))
+    sets = masks(vertices(spec))
     budget = SolveLimits(max_nodes=1000, time_budget=1e9)
     small = AdjacencyMatrix.from_graph_spec(GraphSpec(8, 2, 0))  # searched, not settled by its bounds
     calls = {
-        "chi with orbits and sets": lambda: exact_chromatic_number(g, SolveLimits(), None, orbits, sets),
-        "chi on a budget": lambda: exact_chromatic_number(g, budget, None, orbits, sets),
+        "chi with sets": lambda: exact_chromatic_number(g, SolveLimits(), None, sets),
+        "chi on a budget": lambda: exact_chromatic_number(g, budget, None, sets),
         "chi, DSATUR alone": lambda: exact_chromatic_number(small),
-        "alpha with orbits": lambda: exact_independence_number(g, SolveLimits(), orbits),
-        "alpha on a budget": lambda: exact_independence_number(g, SolveLimits(max_nodes=3), orbits),
+        "alpha with sets": lambda: exact_independence_number(g, SolveLimits(), sets),
+        "alpha on a budget": lambda: exact_independence_number(g, SolveLimits(max_nodes=3), sets),
         "ascent to a coloring": lambda: ascend(GraphSpec(7, 2, 0), 3, 10**6),
         "theorem1 and verify": lambda: verify_proper(GraphSpec(9, 3, 2), color_theorem1(9)),
     }
@@ -597,9 +618,33 @@ def test_sets_rejected(capsys, monkeypatch, name):
     g = AdjacencyMatrix.from_graph_spec(SPEC_731)
     with pytest.raises(BadInput):
         exact_chromatic_number(g, sets=masks(BAD_SETS[name]))
+    with pytest.raises(BadInput):
+        exact_independence_number(g, sets=masks(BAD_SETS[name]))
     monkeypatch.setattr(cli, "vertex_masks", lambda spec: masks(BAD_SETS[name]))
-    assert cli.main(["exact", "chi", "-n", "7", "-r", "3", "-s", "1"]) == 9
-    assert capsys.readouterr().out == ""
+    for which in ("chi", "alpha"):
+        assert cli.main(["exact", which, "-n", "7", "-r", "3", "-s", "1"]) == 9, which
+        assert capsys.readouterr().out == "", which
+
+
+def test_sets_reject_every_flipped_edge():
+    # one symmetric pair v-w of G(7, 3, 1), both away from vertex 0, flipped
+    # between edge and non-edge: C(34, 2) = 561 graphs, none of them a
+    # function of |a ∩ b|, and both solvers refuse every one
+    g = AdjacencyMatrix.from_graph_spec(SPEC_731)
+    sets = masks(VERTS_731)
+    flips = 0
+    for v in range(1, g.order):
+        for w in range(v + 1, g.order):
+            rows = list(g.rows)
+            rows[v] ^= 1 << w
+            rows[w] ^= 1 << v
+            bad = AdjacencyMatrix(g.order, tuple(rows))
+            with pytest.raises(BadInput):
+                exact_chromatic_number(bad, sets=sets)
+            with pytest.raises(BadInput):
+                exact_independence_number(bad, sets=sets)
+            flips += 1
+    assert flips == 561
 
 
 def test_sets_only_fix_the_relation_up_to_its_size():

@@ -25,7 +25,6 @@ from distcolor.exact import (
     Exhausted,
     SolveLimits,
     _bits,
-    _check_root_orbits,
     _greedy_clique,
     _proper,
     exact_chromatic_number,
@@ -62,7 +61,6 @@ def reference_chromatic_number(
     g: AdjacencyMatrix,
     limits: SolveLimits = SolveLimits(),
     initial: Sequence[int] | None = None,
-    root_orbits: Sequence[int] | None = None,
 ) -> int | Exhausted:
     """Exact chi(g) by DSATUR branch and bound.
 
@@ -75,16 +73,12 @@ def reference_chromatic_number(
     ``initial``, a color per vertex in 0..k-1, is re-checked and replaces
     the DSATUR incumbent when k is smaller; it only ever lowers the upper
     side. BadInput when its length is wrong or it is not proper.
-    ``root_orbits`` is re-checked and goes to the alpha probe; see
-    exact_independence_number.
     """
     if g.order > CHI_MAX_VERTICES:
         raise TooLarge(f"{g.order} vertices exceeds the chi solver cap {CHI_MAX_VERTICES}")
     n = g.order
     if n == 0:
         return 0
-    if root_orbits is not None:
-        _check_root_orbits(g, root_orbits)
     deadline = time.monotonic() + limits.time_budget
     clique = _greedy_clique(g)
     lb = len(clique)
@@ -100,7 +94,7 @@ def reference_chromatic_number(
             best, best_assign = k, seed
     if lb < best:
         probe = SolveLimits(max_nodes=200_000, time_budget=limits.time_budget)
-        alpha = exact_independence_number(g, probe, root_orbits)
+        alpha = exact_independence_number(g, probe)
         if not isinstance(alpha, Exhausted):
             lb = max(lb, -(-n // alpha))
     if lb >= best:
