@@ -13,6 +13,8 @@ import functools
 import io
 import json
 import sys
+from collections.abc import Iterator
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from . import errors
@@ -74,11 +76,12 @@ def _json_text(obj) -> str:
 
     With ``indent`` set, CPython skips its C encoder and sends every value
     through the pure-Python generators, one per label of a certificate.
-    Here containers are written recursively: a list of exact ints is one
-    join over their reprs and strings go through the C string escaper.
-    Anything else (a float, a tuple, an empty container, a dict with
-    non-string keys) goes to ``json.dumps`` and is re-indented to its depth.
-    Every JSON artifact of the CLI is written here.
+    Here containers are written recursively: a list or tuple is joined in
+    blocks (of the reprs, when all its items are exact ints) and strings go
+    through the C string escaper.
+    Anything else (a float, an empty container, a dict with non-string
+    keys) goes to ``json.dumps`` and is re-indented to its depth. Every
+    JSON artifact of the CLI is written here.
     """
     return _json_value(obj, "\n") + "\n"
 
@@ -93,17 +96,32 @@ def _json_value(obj, newline: str) -> str:
     if kind is bool or obj is None:
         return "null" if obj is None else "true" if obj else "false"
     inner = newline + "  "
-    if kind is list and obj:
+    # json.dumps writes a tuple as an array
+    if (kind is list or kind is tuple) and obj:
         if set(map(type, obj)) == {int}:
             items = map(int.__repr__, obj)
         else:
             items = (_json_value(x, inner) for x in obj)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        sep = "," + inner
+        # no name holds the body, so each concatenation frees the text before it
+        return "[" + inner + (_joined(sep, items) if len(obj) > _BLOCK else sep.join(items)) + newline + "]"
     if kind is dict and obj and set(map(type, obj)) == {str}:
         items = (f"{encode_basestring_ascii(k)}: {_json_value(obj[k], inner)}" for k in sorted(obj))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     # JSON text holds no raw line breaks inside strings, so this only re-indents
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+
+
+# items per block of _joined: never a string per item of a whole artifact at once
+_BLOCK = 4096
+
+
+def _joined(sep: str, items: Iterator[str]) -> str:
+    """``sep.join(items)``, joined a block of _BLOCK items at a time and then over the blocks."""
+    blocks = []
+    while block := list(islice(items, _BLOCK)):
+        blocks.append(sep.join(block))
+    return sep.join(blocks)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -123,7 +141,7 @@ def _certificate(coloring: Coloring, proper: bool) -> dict:
         "palette_bound": coloring.palette_bound,
         "colors_used": coloring.colors_used,
         "proper": proper,
-        "labels": list(coloring.labels),
+        "labels": coloring.labels,
     }
 
 
@@ -258,11 +276,12 @@ def cmd_scan_condition(args: argparse.Namespace) -> int:
     if args.limit > 10**6:
         raise TooLarge(f"scan limit {args.limit} exceeds 10^6")
     # an odd order d means no power of 2 is -1; an even one has 2^(d/2) = -1
-    rows = [
+    rows = (
         f"{p},{p % 8},{d},true,\n" if d % 2 else f"{p},{p % 8},{d},false,{d // 2}\n"
         for p, d in orders_of_two(args.limit)
-    ]
-    _emit("p,p_mod_8,order_of_two,condition_holds,witness_r\n" + "".join(rows), args.out)
+    )
+    header = "p,p_mod_8,order_of_two,condition_holds,witness_r\n"
+    _emit(_joined("", chain([header], rows)), args.out)
     return 0
 
 
@@ -294,7 +313,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_bhset(args: argparse.Namespace) -> int:
     bh = bose_chowla_set(args.q, args.degree)
-    payload = {"q": bh.q, "h": bh.h, "modulus": bh.modulus, "elements": list(bh.elements)}
+    payload = {"q": bh.q, "h": bh.h, "modulus": bh.modulus, "elements": bh.elements}
     _emit(_json_text(payload), args.out)
     return 0
 
@@ -309,10 +328,10 @@ def cmd_circles(args: argparse.Namespace) -> int:
         "p": args.p,
         "condition_holds": condition,
         "circles": [
-            {"parameter": c.parameter, "points": list(c.points)} for c in graph.circles
+            {"parameter": c.parameter, "points": c.points} for c in graph.circles
         ],
-        "edges": [list(e) for e in graph.edges],
-        "bipartition": None if bip is None else list(bip.classes),
+        "edges": graph.edges,
+        "bipartition": None if bip is None else bip.classes,
     }
     _emit(_json_text(payload), args.out)
     return 0

@@ -53,6 +53,27 @@ def _meets(holds: Sequence[int], cell: int, full: int) -> list[int]:
     return at_least
 
 
+def _transposed(packed: int, stride: int) -> int:
+    """The stride x stride bit matrix with entry (i, j) at bit i * stride + j, transposed.
+
+    stride is a power of two and at least 8. For each bit b of an index,
+    one masked delta swap trades bit b between the row and the column of
+    every entry; after all of them every (i, j) has moved to (j, i).
+    """
+    width = stride // 8
+    b = stride // 2
+    while b:
+        # rows with bit b clear, holding the columns with bit b set
+        columns = ((1 << stride) - 1) // ((1 << 2 * b) - 1) * ((1 << b) - 1) << b
+        block = columns.to_bytes(width, "little") * b + bytes(width * b)
+        mask = int.from_bytes(block * (stride // (2 * b)), "little")
+        shift = b * (stride - 1)
+        swap = (packed ^ packed >> shift) & mask
+        packed ^= swap ^ swap << shift
+        b //= 2
+    return packed
+
+
 @dataclass(frozen=True)
 class AdjacencyMatrix:
     """Symmetric, irreflexive adjacency held as one bitmask row per vertex."""
@@ -64,20 +85,25 @@ class AdjacencyMatrix:
         if len(self.rows) != self.order:
             raise BadInput(f"{len(self.rows)} rows for order {self.order}")
         full = (1 << self.order) - 1
-        above = 0
         for i, row in enumerate(self.rows):
             if row & ~full:
                 raise BadInput(f"row {i} has bits outside the vertex range")
             if row >> i & 1:
                 raise BadInput(f"self-loop at vertex {i}")
-            upper = row >> (i + 1) << (i + 1)
-            above += upper.bit_count()
-            for j in _bits(upper):
-                if not self.rows[j] >> i & 1:
-                    raise BadInput(f"edge {i}-{j} is not symmetric")
-        # each bit above the diagonal has its mirror, so equal counts leave no other bit below
-        if 2 * above != sum(row.bit_count() for row in self.rows):
-            raise BadInput("an edge below the diagonal has no mirror above it")
+        # all rows in one int, row i at bit i * stride, compared with its transpose
+        stride = max(8, 1 << (self.order - 1).bit_length())
+        width = stride // 8
+        packed = int.from_bytes(b"".join(row.to_bytes(width, "little") for row in self.rows), "little")
+        mirrored = _transposed(packed, stride)
+        if mirrored == packed:
+            return
+        columns = mirrored.to_bytes(width * self.order, "little")
+        for i, row in enumerate(self.rows):
+            column = int.from_bytes(columns[i * width : (i + 1) * width], "little")
+            upper = (row & ~column) >> (i + 1) << (i + 1)
+            if upper:
+                raise BadInput(f"edge {i}-{(upper & -upper).bit_length() - 1} is not symmetric")
+        raise BadInput("an edge below the diagonal has no mirror above it")
 
     @classmethod
     def from_graph_spec(cls, spec: GraphSpec) -> "AdjacencyMatrix":

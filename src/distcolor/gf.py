@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import isqrt
+from math import comb, isqrt
 from typing import Iterable
 
 from .errors import BadInput, InternalContradiction, NotPrime, TooLarge
@@ -222,15 +222,27 @@ def bose_chowla_set(q: int, h: int) -> BhSet:
 def verify_bh(elements: Iterable[int], h: int, modulus: int) -> bool:
     """Brute-force check that all h-element multiset sums are distinct.
 
-    Independent of the construction: it only adds residues.
+    Independent of the construction: it only adds residues. With k
+    elements there are C(k + h - 1, h) sums, so more of them than
+    residues fail by pigeonhole. Seen sums are marked in a byte per
+    residue when the modulus is at most 64 times their number, which is
+    no more memory than a set of them; a sparser modulus keeps the set.
     """
     elems = sorted(elements)
     if len(set(elems)) != len(elems):
         raise BadInput("elements must be distinct")
-    sums = set()
-    for combo in combinations_with_replacement(elems, h):
-        t = sum(combo) % modulus
-        if t in sums:
+    if modulus < 1 or h < 1:
+        raise BadInput(f"need a modulus >= 1 and h >= 1, got modulus {modulus} and h {h}")
+    count = comb(len(elems) + h - 1, h)
+    if count > modulus:
+        return False
+    sums = map(sum, combinations_with_replacement(elems, h))
+    if modulus > 64 * count:
+        return len({t % modulus for t in sums}) == count
+    seen = bytearray(modulus)
+    for t in sums:
+        t %= modulus
+        if seen[t]:
             return False
-        sums.add(t)
+        seen[t] = 1
     return True

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,7 @@ from distcolor import cli, exact
 from distcolor.cli import main
 from distcolor.distgraph import GraphSpec, vertex_count, vertices
 from distcolor.gf import verify_bh
-from distcolor.numtheory import check_t1_condition
+from distcolor.numtheory import check_t1_condition, orders_of_two
 from test_star_check import reference_first_star_conflict
 
 
@@ -341,8 +342,41 @@ def test_json_writer_edge_cases():
         {"b": {"a": None}, "a": ["\u00e9\n\x00\ud800"]}, (1, (2, [3])), {1: [2], 0: {"x": 3}},
         [float("nan"), float("inf")], {"k": [[1, 2], [3, 4]]},
     ]
+    b = cli._BLOCK  # lists are joined in blocks of b items; bools must stay off the int path
+    for length in (0, 1, b - 1, b, b + 1, 3 * b + 1):
+        ints = [(-7) ** (i % 5) * i for i in range(length)]
+        cases += [ints, tuple(ints), {"labels": ints, "n": length}, {"a": {"b": tuple(ints)}}]
+    pairs = tuple((i, i + 1) for i in range(2 * b + 3))  # as circles writes its edges
+    cases += [pairs, {"edges": pairs}, [1, True, 0, False] * b, (1, False) * b, [[True, 1]] * (b + 1)]
     for obj in cases:
         assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_json_writer_peak_is_about_twice_its_text():
+    # the blocks and the joined text; one string per label gave about 7x
+    labels = list(range(10**6))
+    size = len(cli._json_text(labels))
+    assert _traced_peak(lambda: cli._json_text(labels)) <= 3 * size
+
+
+def test_scan_condition_peak(tmp_path, monkeypatch):
+    # the orders are found before the trace, so only the writing is measured: 4.1 MiB for
+    # its 1.9 MiB of text (blocks, then the joined text); a string per row gave 10.3 MiB
+    orders = list(orders_of_two(10**6))
+    monkeypatch.setattr(cli, "orders_of_two", lambda limit: iter(orders))
+    out = tmp_path / "scan.csv"
+    peak = _traced_peak(lambda: main(["scan-condition", "--limit", "1000000", "--out", str(out)]))
+    assert out.read_text().count("\n") == 78_497
+    assert peak <= 3 * out.stat().st_size
 
 
 @pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=PINNED_IDS)

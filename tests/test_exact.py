@@ -7,6 +7,7 @@ against analytic certificates.
 
 import gc
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -88,6 +89,39 @@ def test_adjacency_validation():
 def test_adjacency_rejects_bits_outside_the_vertex_range():
     with pytest.raises(BadInput, match="row 0 has bits outside the vertex range"):
         AdjacencyMatrix(2, (4, 0))
+
+
+def reference_symmetry_error(rows):
+    """The first symmetry complaint, bit by bit: an unmirrored edge above the diagonal first."""
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if row >> j & 1 and not rows[j] >> i & 1:
+                return f"edge {i}-{j} is not symmetric"
+    if any(row >> j & 1 and not rows[j] >> i & 1 for i, row in enumerate(rows) for j in range(i)):
+        return "an edge below the diagonal has no mirror above it"
+    return None
+
+
+def test_adjacency_symmetry_check_matches_bit_by_bit_reference():
+    rng = random.Random(8)
+    # orders around the strides 8, 16, 32 and 64 of the packed check
+    for order in (0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 65):
+        for flips in (0, 0, 1, 1, 2, 5):
+            rows = [0] * order
+            for i in range(order):
+                for j in range(i + 1, order):
+                    if rng.random() < 0.4:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            for _ in range(flips if order > 1 else 0):
+                i, j = rng.sample(range(order), 2)
+                rows[i] ^= 1 << j
+            expected = reference_symmetry_error(rows)
+            if expected is None:
+                assert AdjacencyMatrix(order, tuple(rows)).rows == tuple(rows)
+            else:
+                with pytest.raises(BadInput, match=f"^{expected}$"):
+                    AdjacencyMatrix(order, tuple(rows))
 
 
 def test_chromatic_trivial():

@@ -6,7 +6,11 @@ search and the discrete-log walk; the walk's full table in turn is the
 oracle for the baby-step giant-step logs behind the Bose-Chowla sets.
 """
 
+import random
+import tracemalloc
+from collections import Counter
 from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 
@@ -216,6 +220,10 @@ def test_verify_bh_examples():
     assert verify_bh({5}, 3, 11)
     with pytest.raises(BadInput):
         verify_bh([1, 1, 2], 2, 9)
+    with pytest.raises(BadInput):
+        verify_bh([1], 2, 0)  # no residues at all
+    with pytest.raises(BadInput):
+        verify_bh([1, 2], 2, -5)  # residues would be negative
 
 
 def test_verify_bh_counts_all_multisets():
@@ -223,3 +231,49 @@ def test_verify_bh_counts_all_multisets():
     bh = bose_chowla_set(5, 2)
     sums = {sum(c) % bh.modulus for c in combinations_with_replacement(bh.elements, 2)}
     assert len(sums) == 15
+
+
+def reference_is_bh(elements, h, modulus):
+    """Distinct multiset sums, by sorting them all and comparing neighbors."""
+    sums = sorted(sum(c) % modulus for c in combinations_with_replacement(sorted(elements), h))
+    return all(a != b for a, b in zip(sums, sums[1:]))
+
+
+def test_verify_bh_agrees_with_reference_on_both_sides_of_the_byte_table():
+    rng = random.Random(22)
+    seen = Counter()
+    for _ in range(600):
+        k, h = rng.randint(1, 7), rng.randint(1, 4)
+        if rng.random() < 0.3:  # a progression: a + c = 2b collides for every h >= 2
+            d = rng.randint(1, 9)
+            elements = {rng.randint(-20, 20) + d * i for i in range(k)}
+        else:
+            elements = set(rng.sample(range(-50, 10**6), k))
+        count = comb(len(elements) + h - 1, h)
+        modulus = rng.choice([
+            rng.randint(1, count),  # pigeonhole below count + 1
+            rng.randint(count, 64 * count),  # marked in a byte per residue
+            64 * count,
+            64 * count + 1,
+            rng.randint(64 * count + 1, 10**7),  # sparse: a set of the sums
+        ])
+        expected = reference_is_bh(elements, h, modulus)
+        assert verify_bh(elements, h, modulus) is expected, (sorted(elements), h, modulus)
+        side = "pigeonhole" if count > modulus else "table" if modulus <= 64 * count else "set"
+        seen[side, expected] += 1
+    assert {key for key, n in seen.items() if n >= 10} == {
+        ("pigeonhole", False), ("table", False), ("table", True), ("set", False), ("set", True),
+    }
+
+
+def test_verify_bh_peak_is_a_byte_per_residue():
+    # q = 101, h = 3: 176,851 sums mod 1,030,300 in a 1 MiB table, 0.98 MiB measured;
+    # a set of the sums peaked at 16.8 MiB
+    bh = bose_chowla_set(101, 3)
+    tracemalloc.start()
+    try:
+        assert verify_bh(bh.elements, 3, bh.modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
