@@ -25,7 +25,6 @@ from .colorings import (
     Violation,
     best_construction,
     bipartition_circles,
-    circle,
     circle_graph,
     color_bose_chowla,
     color_sum,
@@ -55,13 +54,11 @@ from .exact import (
     exact_independence_number,
     greedy_coloring,
 )
-from .gf import BhSet, FieldSpec, bose_chowla_set, discrete_log_table, field_add, field_build, field_mul, field_pow, verify_bh
+from .gf import BhSet, FieldSpec, bose_chowla_set, discrete_log_table, field_build, field_pow, verify_bh
 from .numtheory import (
     ConditionReport,
     check_t1_condition,
     is_prime,
-    mod_inverse,
-    multiplicative_order,
     next_prime,
     primes_in_class,
     theorem1_prime,

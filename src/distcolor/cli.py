@@ -46,7 +46,7 @@ from .numtheory import check_t1_condition, orders_of_two, primes_in_class
 
 EXIT_IMPROPER = 3
 
-# one distinct exit code per error class (0 success, 2 usage, 3 improper)
+# one distinct exit code per error class (0 success, 2 usage, 3 improper; 12, 13 retired)
 ERROR_EXIT_CODES: dict[type, int] = {
     errors.UnsupportedN: 4,
     errors.NotPrime: 5,
@@ -56,8 +56,6 @@ ERROR_EXIT_CODES: dict[type, int] = {
     errors.BadInput: 9,
     errors.OutOfRange: 10,
     errors.OutOfValidity: 11,
-    errors.ZeroDivisor: 12,
-    errors.NotCoprime: 13,
     errors.IncompleteColoring: 14,
     errors.InternalContradiction: 15,
 }

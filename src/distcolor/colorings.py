@@ -42,7 +42,7 @@ from .distgraph import capped_vertex_count, vertex_count, vertex_masks, vertices
 from .errors import BadInput, IncompleteColoring, InternalContradiction, InvalidPrime, NotPrime
 from .errors import OddCycle, UnsupportedN
 from .gf import bose_chowla_set
-from .numtheory import check_t1_condition, is_prime, mod_inverse, theorem1_prime
+from .numtheory import check_t1_condition, is_prime, theorem1_prime
 
 
 class Method(str, Enum):
@@ -124,30 +124,10 @@ class CircleBipartition:
     sides: tuple[int, ...]
 
 
-def _require_odd_prime_gt3(p: int) -> None:
-    if p <= 3 or not is_prime(p):
-        raise InvalidPrime(f"need a prime p > 3, got {p}")
-
-
 def _least_first(pts: list[int]) -> tuple[int, ...]:
     """A cyclic sequence rotated to start at its smallest member."""
     lo = pts.index(min(pts))
     return tuple(pts[lo:] + pts[:lo])
-
-
-def circle(p: int, i: int, j: int) -> Circle:
-    """The circle through j with parameter i, walked by the paper's map; the tests' reference."""
-    _require_odd_prime_gt3(p)
-    i, j = i % p, j % p
-    if i == j:
-        raise BadInput("the parameter is a fixed point, pick j != i")
-    inv2 = mod_inverse(2, p)
-    pts = [j]
-    t = (j + i) * inv2 % p
-    while t != j:
-        pts.append(t)
-        t = (t + i) * inv2 % p
-    return Circle(i, _least_first(pts))
 
 
 def _cosets_of_2(p: int) -> list[list[int]]:
@@ -173,7 +153,8 @@ def circle_graph(p: int) -> CircleGraph:
     The flat index ``at[i * p + t]`` is the circle of parameter i through t;
     the circles of each parameter i must cover Z_p minus {i} exactly once.
     """
-    _require_odd_prime_gt3(p)
+    if p <= 3 or not is_prime(p):
+        raise InvalidPrime(f"need a prime p > 3, got {p}")
     cosets = _cosets_of_2(p)
     circles = [Circle(i, _least_first([(i + d) % p for d in c])) for i in range(p) for c in cosets]
     circles.sort(key=lambda c: (c.parameter, c.points[0]))
@@ -355,9 +336,10 @@ def color_bose_chowla(n: int, r: int, s: int) -> Coloring:
     if not is_prime(n):
         raise NotPrime(f"{n} is not prime")
     spec = GraphSpec(n, r, s)
+    capped_vertex_count(spec, MAX_ENUMERATION_VERTICES)  # before the B_h set, which can take seconds
     h = r - s
     if h == 1:
-        weights: range | tuple[int, ...] = range(n)  # O(1) memory before the vertex cap
+        weights: range | tuple[int, ...] = range(n)
         modulus = n
     else:
         bh = bose_chowla_set(n, h)

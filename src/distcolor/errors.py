@@ -5,14 +5,6 @@ class Error(Exception):
     """Base class for all distcolor errors."""
 
 
-class ZeroDivisor(Error):
-    """Tried to invert a residue divisible by the modulus."""
-
-
-class NotCoprime(Error):
-    """Argument shares a factor with the modulus."""
-
-
 class InvalidPrime(Error):
     """A prime modulus argument is composite or out of range."""
 

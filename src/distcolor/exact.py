@@ -121,15 +121,6 @@ class AdjacencyMatrix:
             rows.append(at[s] & ~at[s + 1])
         return cls(count, tuple(rows))
 
-    @classmethod
-    def complete(cls, m: int) -> "AdjacencyMatrix":
-        full = (1 << m) - 1
-        return cls(m, tuple(full ^ (1 << v) for v in range(m)))
-
-    @classmethod
-    def empty(cls, m: int) -> "AdjacencyMatrix":
-        return cls(m, (0,) * m)
-
 
 @dataclass(frozen=True)
 class SolveLimits:

@@ -42,10 +42,6 @@ class FieldSpec:
         return self.q**self.h
 
     @property
-    def zero(self) -> FieldElement:
-        return (0,) * self.h
-
-    @property
     def one(self) -> FieldElement:
         return (1,) + (0,) * (self.h - 1)
 
@@ -85,20 +81,6 @@ def _mul_mod(a: FieldElement, b: FieldElement, modulus: tuple[int, ...], q: int)
             for t in range(h):
                 prod[base + t] = (prod[base + t] - c * modulus[t]) % q
     return tuple(prod[:h])
-
-
-def field_add(f: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:
-    """Sum in GF(q^h)."""
-    _check_element(f, a)
-    _check_element(f, b)
-    return tuple((x + y) % f.q for x, y in zip(a, b))
-
-
-def field_mul(f: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:
-    """Product in GF(q^h)."""
-    _check_element(f, a)
-    _check_element(f, b)
-    return _mul_mod(a, b, f.modulus_poly, f.q)
 
 
 def field_pow(f: FieldSpec, a: FieldElement, e: int) -> FieldElement:

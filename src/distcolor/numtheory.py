@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
-from .errors import InvalidPrime, NotCoprime, TooLarge, ZeroDivisor
+from .errors import InvalidPrime, TooLarge
 
 # Witness set proven complete for all n < 3.3 * 10^24, far past 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -56,14 +56,6 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def mod_inverse(a: int, p: int) -> int:
-    """Inverse of a modulo the prime p."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisor(f"0 has no inverse mod {p}")
-    return pow(a, -1, p)
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n by trial division."""
     out = []
@@ -91,34 +83,19 @@ def _order(a: int, p: int) -> int:
     return order
 
 
-def multiplicative_order(a: int, p: int) -> int:
-    """Least k >= 1 with a^k = 1 mod the prime p; always divides p - 1."""
-    if not is_prime(p):
-        raise InvalidPrime(f"{p} is not prime")
-    a %= p
-    if a == 0:
-        raise NotCoprime(f"0 is not a unit mod {p}")
-    return _order(a, p)
-
-
-def _t1_report(p: int) -> ConditionReport:
-    """The odd-order report for a p already known to be a prime > 3.
+def check_t1_condition(p: int) -> ConditionReport:
+    """Test whether no power of 2 equals -1 mod p (p prime, p > 3).
 
     Z_p^* is cyclic, so -1 is its only element of order 2. If the order d
     of 2 is even, 2^(d/2) = -1, and d/2 is least as 2^k = -1 forces d | 2k;
     if d is odd, no power of 2 has order 2.
     """
+    if p <= 3 or not is_prime(p):
+        raise InvalidPrime(f"need a prime p > 3, got {p}")
     d = _order(2, p)
     if d % 2 == 0:
         return ConditionReport(p, d, False, d // 2)
     return ConditionReport(p, d, True, None)
-
-
-def check_t1_condition(p: int) -> ConditionReport:
-    """Test whether no power of 2 equals -1 mod p (p prime, p > 3)."""
-    if p <= 3 or not is_prime(p):
-        raise InvalidPrime(f"need a prime p > 3, got {p}")
-    return _t1_report(p)
 
 
 def theorem1_prime(n: int) -> int | None:
@@ -128,7 +105,7 @@ def theorem1_prime(n: int) -> int | None:
     unique; None when neither candidate qualifies.
     """
     for p in (n - 2, n - 1):
-        if p > 3 and is_prime(p) and _t1_report(p).condition_holds:
+        if p > 3 and is_prime(p) and _order(2, p) % 2:
             return p
     return None
 

@@ -18,7 +18,6 @@ from distcolor.bounds import (
 from distcolor.cli import main
 from distcolor.colorings import (
     bipartition_circles,
-    circle,
     color_bose_chowla,
     color_sum,
     color_symmetric,
@@ -34,12 +33,8 @@ from distcolor.exact import (
     exact_independence_number,
 )
 from distcolor.gf import bose_chowla_set, verify_bh
-from distcolor.numtheory import (
-    check_t1_condition,
-    mod_inverse,
-    multiplicative_order,
-    primes_in_class,
-)
+from distcolor.numtheory import _order, check_t1_condition, primes_in_class
+from reference import circle
 
 
 def _finish(t0: float, budget: float, message: str) -> None:
@@ -101,8 +96,8 @@ def test_odd_order_condition_holds_for_7_mod_8_primes_to_5000():
 def test_circle_length_and_closed_form_to_199():
     t0 = time.perf_counter()
     for p in _odd_primes_to(199):
-        k = multiplicative_order(2, p)
-        inv2 = mod_inverse(2, p)
+        k = _order(2, p)
+        inv2 = pow(2, -1, p)
         for i in range(p):
             covered: set[int] = set()
             for j in range(p):
@@ -143,7 +138,7 @@ def test_pair_function_properties_for_7_23_31_47():
     t0 = time.perf_counter()
     for p in (7, 23, 31, 47):
         bip = bipartition_circles(p)
-        inv2 = mod_inverse(2, p)
+        inv2 = pow(2, -1, p)
         for x in range(p):
             for y in range(p):
                 if x == y:

@@ -308,12 +308,17 @@ PINNED_STDOUT = [
      "3a8b111958c7a160d5679cceffdd31cf363394ba8c3cb8df80295eb05b2203e9"),
     (("exact", "chi", "-n", "9", "-r", "2", "-s", "1"),
      "4e21ce4248ced8e541af2393fb82eb87441170bd77fc311032a72a58de2726e5"),
+    (("table", "--n-max", "200"),
+     "a4a4e63f7e4d4b45dc847fa3870091a5d7096486a018994d8e8da9c1aa30469b"),
+    (("bounds", "-n", "9", "-r", "3", "-s", "2"),
+     "5f3a03de13d2c7b5efaf5ba7ec01531460d9367b34044d2100b5c8439021b0df"),
 ]
 PINNED_IDS = ["bhset", "scan-condition", "scan-condition-1e6"]
 PINNED_IDS += ["circles-7", "circles-23", "circles-199"]
 PINNED_IDS += ["theorem1-9", "theorem1-33", "theorem1-49"]
 PINNED_IDS += ["sum-13-4", "bose-chowla-17-4-2", "symmetric-13-4-2", "sum-11-8"]
 PINNED_IDS += ["bounds-30-3-1", "exact-chi-9-2-1"]
+PINNED_IDS += ["table-200", "bounds-9-3-2"]
 
 
 JSON_LEAVES = (

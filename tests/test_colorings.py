@@ -16,7 +16,6 @@ from distcolor.colorings import (
     Violation,
     best_construction,
     bipartition_circles,
-    circle,
     circle_graph,
     color_bose_chowla,
     color_sum,
@@ -36,14 +35,8 @@ from distcolor.errors import (
     TooLarge,
     UnsupportedN,
 )
-from distcolor.numtheory import (
-    check_t1_condition,
-    mod_inverse,
-    multiplicative_order,
-    next_prime,
-    primes_in_class,
-    theorem1_prime,
-)
+from distcolor.numtheory import _order, check_t1_condition, next_prime, primes_in_class, theorem1_prime
+from reference import circle
 
 
 def odd_primes_to(limit):
@@ -66,13 +59,13 @@ def test_circle_length_is_order_of_two():
     for i in range(11):
         for j in range(11):
             if i != j:
-                assert len(circle(11, i, j).points) == multiplicative_order(2, 11)
+                assert len(circle(11, i, j).points) == _order(2, 11)
 
 
 def test_circle_closed_form():
     # orbit points satisfy j_m = (j + (2^m - 1) i) / 2^m
     for p in (7, 11, 13):
-        inv2 = mod_inverse(2, p)
+        inv2 = pow(2, -1, p)
         for i in (0, 1, p - 1):
             for j in range(p):
                 if j == i:
@@ -118,11 +111,8 @@ def test_circle_graph_matches_the_definition():
             assert (g.circles, g.edges) == brute_circle_graph(p), p
 
 
-def test_coset_builds_do_not_walk_circles(monkeypatch):
-    def walk(p, i, j):
-        raise AssertionError("circle() called")
-
-    monkeypatch.setattr(colorings, "circle", walk)
+def test_coset_builds_do_not_walk_circles():
+    assert not hasattr(colorings, "circle")  # the one-circle walk lives in the tests only
     assert len(circle_graph(23).circles) == 23 * 22 // 11  # order of 2 mod 23 is 11
     assert color_theorem1(25).palette_bound == 23
 
@@ -191,7 +181,7 @@ def test_bipartition_deterministic():
 def test_f_select_pair_properties():
     for p in (7, 23):
         bip = bipartition_circles(p)
-        inv2 = mod_inverse(2, p)
+        inv2 = pow(2, -1, p)
         for x in range(p):
             for y in range(p):
                 if x == y:
@@ -377,6 +367,16 @@ def test_color_bose_chowla_h1_fallback():
     assert peak < 10**6
 
 
+def test_color_bose_chowla_caps_before_the_bh_set(monkeypatch):
+    # C(1021, 3) vertices are past the cap; the B_h set mod 1021^2 - 1 alone takes most of a second
+    def build(q, h):
+        raise AssertionError("bose_chowla_set() called")
+
+    monkeypatch.setattr(colorings, "bose_chowla_set", build)
+    with pytest.raises(TooLarge):
+        color_bose_chowla(1021, 3, 1)
+
+
 def test_bose_chowla_classes_intersect_below_s():
     col = color_bose_chowla(5, 3, 1)
     verts = vertices(col.spec)
@@ -527,7 +527,7 @@ def test_palette_identity_all_methods():
 def test_circle_length_small_prime_window():
     # circle length matches the order of 2 across a small prime window
     for p in odd_primes_to(61):
-        k = multiplicative_order(2, p)
+        k = _order(2, p)
         seen = 0
         for i in (0, 1):
             for j in range(p):

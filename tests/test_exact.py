@@ -26,6 +26,7 @@ from distcolor.exact import (
     exact_independence_number,
     greedy_coloring,
 )
+from reference import complete, empty
 
 
 def brute_colorable(adj, k):
@@ -125,10 +126,10 @@ def test_adjacency_symmetry_check_matches_bit_by_bit_reference():
 
 
 def test_chromatic_trivial():
-    assert exact_chromatic_number(AdjacencyMatrix.complete(4)) == 4
+    assert exact_chromatic_number(complete(4)) == 4
     assert exact_chromatic_number(from_spec(4, 1, 0)) == 4  # same graph, built from a spec
-    assert exact_chromatic_number(AdjacencyMatrix.empty(10)) == 1
-    assert exact_chromatic_number(AdjacencyMatrix.empty(0)) == 0
+    assert exact_chromatic_number(empty(10)) == 1
+    assert exact_chromatic_number(empty(0)) == 0
 
 
 def test_chromatic_g532():
@@ -147,16 +148,16 @@ def test_chromatic_matches_brute_force():
 
 def test_chromatic_cap():
     with pytest.raises(TooLarge):
-        exact_chromatic_number(AdjacencyMatrix.empty(121))
+        exact_chromatic_number(empty(121))
 
 
 def test_independence_cap():
     with pytest.raises(TooLarge):
-        exact_independence_number(AdjacencyMatrix.empty(501))
+        exact_independence_number(empty(501))
     with pytest.raises(TooLarge):
         AdjacencyMatrix.from_graph_spec(GraphSpec(12, 5, 2))  # 792 vertices
     # budgets leave the cap at 500, above the chi solver's 120
-    assert exact_independence_number(AdjacencyMatrix.empty(200), SolveLimits(max_nodes=10)) == 200
+    assert exact_independence_number(empty(200), SolveLimits(max_nodes=10)) == 200
 
 
 def test_from_graph_spec_matches_edge_stream():
@@ -210,9 +211,9 @@ def test_chromatic_deterministic():
 
 
 def test_independence_trivial():
-    assert exact_independence_number(AdjacencyMatrix.complete(6)) == 1
-    assert exact_independence_number(AdjacencyMatrix.empty(7)) == 7
-    assert exact_independence_number(AdjacencyMatrix.empty(0)) == 0
+    assert exact_independence_number(complete(6)) == 1
+    assert exact_independence_number(empty(7)) == 7
+    assert exact_independence_number(empty(0)) == 0
 
 
 def test_independence_g532():
@@ -250,9 +251,9 @@ def test_independence_exhaustion():
 
 
 def test_greedy_coloring():
-    assert greedy_coloring(AdjacencyMatrix.complete(6)) == 6
-    assert greedy_coloring(AdjacencyMatrix.empty(4)) == 1
-    assert greedy_coloring(AdjacencyMatrix.empty(0)) == 0
+    assert greedy_coloring(complete(6)) == 6
+    assert greedy_coloring(empty(4)) == 1
+    assert greedy_coloring(empty(0)) == 0
     value = greedy_coloring(from_spec(5, 3, 2))
     assert 5 <= value <= 10
 
@@ -484,14 +485,14 @@ def test_early_exit_rechecks_the_incumbent(monkeypatch):
     cycle5 = AdjacencyMatrix(5, tuple(1 << (v + 1) % 5 | 1 << (v - 1) % 5 for v in range(5)))
     monkeypatch.setattr(exact, "_dsatur_assignment", lambda g: [v % 3 for v in range(g.order)])
     with pytest.raises(InternalContradiction, match="not a proper 3-coloring"):
-        exact_chromatic_number(AdjacencyMatrix.complete(4))  # clique 4, incumbent 3
+        exact_chromatic_number(complete(4))  # clique 4, incumbent 3
     monkeypatch.setattr(exact, "_dsatur_assignment", lambda g: [v % 2 for v in range(g.order)])
     with pytest.raises(InternalContradiction, match="not a proper 2-coloring"):
         exact_chromatic_number(cycle5)  # ceil(5 / 2) = 3, incumbent 2
     monkeypatch.undo()
     monkeypatch.setattr(exact, "_greedy_clique", lambda g: list(range(g.order + 1)))
     with pytest.raises(InternalContradiction, match="lower bound 5 exceeds a proper 4-coloring"):
-        exact_chromatic_number(AdjacencyMatrix.complete(4))
+        exact_chromatic_number(complete(4))
 
 
 def masks(verts):

@@ -32,6 +32,7 @@ from distcolor.exact import (
     greedy_coloring,
 )
 from distcolor.errors import BadInput, InternalContradiction, TooLarge
+from reference import complete
 
 
 
@@ -183,7 +184,7 @@ def mycielskian(g):
 
 def mycielski(k):
     # M2 = K2, M3 = C5, M4 = the Grotzsch graph; chi(Mk) = k
-    g = AdjacencyMatrix.complete(2)
+    g = complete(2)
     for _ in range(k - 2):
         g = mycielskian(g)
     return g
