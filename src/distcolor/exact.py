@@ -142,14 +142,18 @@ class Exhausted:
     upper: int | None = None
 
 
-def _by_degree(rows: Sequence[int]) -> tuple[list[int], dict[int, int], list[int]]:
+def _by_degree(rows: Sequence[int]) -> tuple[Sequence[int], Sequence[int], list[int]]:
     """Relabel by descending degree, ties to the lower vertex.
 
     New vertex i is old vertex label[i]; returns label, its inverse pos
-    and the relabeled rows.
+    and the relabeled rows. On a regular graph, as every G(n, r, s) and its
+    complement are, label and pos are range(n) and the rows are unchanged.
     """
-    label = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
-    pos = {v: i for i, v in enumerate(label)}
+    n = len(rows)
+    label = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
+    if label == list(range(n)):
+        return range(n), range(n), list(rows)
+    pos = sorted(range(n), key=label.__getitem__)
     return label, pos, [_relabel(rows[v], pos) for v in label]
 
 
@@ -243,8 +247,8 @@ def exact_chromatic_number(
     G(m, r, s) up to the choice of s: it is checked (BadInput otherwise)
     to be all C(m, r) distinct r-subsets of {0, ..., m-1}, with adjacency
     a function of |a ∩ b| alone, so every permutation of the ground set is
-    an automorphism. The sets go on to the alpha probe, which checks them
-    again; see exact_independence_number. A second search, the ascent
+    an automorphism. They are checked once, and the alpha probe gets their
+    root orbits; see exact_independence_number. A second search, the ascent
     (_ascent), then decides k-colorability for k = lb, lb + 1, ... one
     color class at a time under that symmetry. It runs 256 of its own
     nodes at each of DSATUR's clock polls; each refuted k raises the lower
@@ -259,8 +263,7 @@ def exact_chromatic_number(
     n = g.order
     if n == 0:
         return 0
-    if sets is not None:
-        _check_sets(g, sets)
+    orbits = None if sets is None else _check_sets(g, sets)
     deadline = time.monotonic() + limits.time_budget
     clique = _greedy_clique(g)
     lb = len(clique)
@@ -277,7 +280,7 @@ def exact_chromatic_number(
     alpha = n  # bounds every color class until the probe proves better
     if lb < best:
         probe = SolveLimits(max_nodes=200_000, time_budget=limits.time_budget)
-        probed = exact_independence_number(g, probe, sets)
+        probed = _alpha(g, probe, orbits)
         if not isinstance(probed, Exhausted):
             alpha = probed
             lb = max(lb, -(-n // alpha))
@@ -395,6 +398,8 @@ def _ascent(
     # meets[cell]: _meets of the cell. Cells are intersections of a few
     # r-sets and their complements, and recur
     meets: dict[int, list[int]] = {}
+    # splits[(cells, cls)]: split's parts, shared and never mutated; about half the calls hit
+    splits: dict[tuple[tuple[int, ...], int], list[int]] = {}
 
     def orbit(m: int, cells: list[int]) -> int:
         # |w| = |m|, so meeting each cell that m meets at least as often suffices
@@ -409,23 +414,25 @@ def _ascent(
         return out
 
     def split(cells: list[int], cls: int) -> list[int]:
+        key = (tuple(cells), cls)
+        if key in splits:
+            return splits[key]
         members = {sets[v] for v in _bits(cls)}
 
-        def swap_fixes(a: int, b: int) -> bool:
-            both = 1 << a | 1 << b
-            return all((m ^ both) in members for m in members if (m >> a ^ m >> b) & 1)
+        def swap_fixes(both: int) -> bool:
+            # both: the bits of two elements; True iff swapping them maps the class onto itself
+            return all((m ^ both) in members for m in members if m & both not in (0, both))
 
         out = []
         for cell in cells:
-            reps: list[int] = []  # the first element of each part
-            parts: list[int] = []
+            parts: list[int] = []  # each part's lowest element represents it
             for a in _bits(cell):
-                i = next((i for i, b in enumerate(reps) if swap_fixes(b, a)), len(reps))
-                if i == len(reps):
-                    reps.append(a)
+                i = next((i for i, p in enumerate(parts) if swap_fixes(p & -p | 1 << a)), len(parts))
+                if i == len(parts):
                     parts.append(0)
                 parts[i] |= 1 << a
             out += parts
+        splits[key] = out
         return out
 
     def refine(cells: list[int], m: int) -> list[int]:
@@ -498,13 +505,16 @@ def _ascent(
 
 
 def _proper(g: AdjacencyMatrix, assign: list[int], k: int) -> bool:
-    """True iff every color lies in 0..k-1 and no edge joins two equal colors."""
-    if any(not 0 <= c < k for c in assign):
+    """True iff each vertex has a color in 0..k-1 and no row meets its own color's class."""
+    if len(assign) != g.order or any(not 0 <= c < k for c in assign):
         return False
-    return not any(assign[v] == assign[w] for v in range(g.order) for w in _bits(g.rows[v]))
+    classes: dict[int, int] = {}  # by the colors used: k may be far above them
+    for v, c in enumerate(assign):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return not any(row & classes[c] for row, c in zip(g.rows, assign))
 
 
-def _relabel(mask: int, pos: dict[int, int]) -> int:
+def _relabel(mask: int, pos: Sequence[int]) -> int:
     return sum(1 << pos[w] for w in _bits(mask))
 
 
@@ -577,14 +587,19 @@ def exact_independence_number(
     """
     if g.order > ALPHA_MAX_VERTICES:
         raise TooLarge(f"{g.order} vertices exceeds the alpha solver cap {ALPHA_MAX_VERTICES}")
-    n = g.order
-    if n == 0:
+    if g.order == 0:
         return 0
-    orbits = None if sets is None else _check_sets(g, sets)
+    return _alpha(g, limits, None if sets is None else _check_sets(g, sets))
+
+
+def _alpha(g: AdjacencyMatrix, limits: SolveLimits, orbits: list[int] | None) -> int | Exhausted:
+    """exact_independence_number on a checked g of order 1 or more; orbits from _check_sets."""
+    n = g.order
     full = (1 << n) - 1
     # clique search on the complement; relabel by descending complement
     # degree, which sharpens the greedy clique-cover bound
     label, pos, comp = _by_degree([~g.rows[v] & (full ^ (1 << v)) for v in range(n)])
+    ordered = isinstance(label, range)  # _by_degree kept every label: nothing to map
 
     # greedy independent set in g (original labels), lowest degree first
     chosen_mask = 0
@@ -594,7 +609,7 @@ def exact_independence_number(
             chosen_mask |= 1 << v
             blocked |= g.rows[v] | (1 << v)
     best = chosen_mask.bit_count()
-    best_mask = _relabel(chosen_mask, pos)
+    best_mask = chosen_mask if ordered else _relabel(chosen_mask, pos)
 
     deadline = time.monotonic() + limits.time_budget
     nodes = 0
@@ -642,14 +657,14 @@ def exact_independence_number(
     else:
         root = pos[0]
         live = comp[root]
-        for orbit in (_relabel(o, pos) for o in orbits):
+        for orbit in (o if ordered else _relabel(o, pos) for o in orbits):
             v = (orbit & -orbit).bit_length() - 1
             expand(2, live & comp[v], 1 << root | 1 << v)
             if hit:
                 break
             live ^= orbit
     del expand  # it calls itself: unbound, the call's state is freed without a collection
-    result_mask = sum(1 << label[i] for i in range(n) if best_mask >> i & 1)
+    result_mask = best_mask if ordered else _relabel(best_mask, label)
     if not _independent(g, result_mask) or result_mask.bit_count() != best:
         raise InternalContradiction(f"the incumbent is not an independent set of size {best}")
     if hit:

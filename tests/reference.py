@@ -3,6 +3,9 @@
 ``circle`` walks the paper's map one point at a time, independent of the
 coset tables behind ``colorings.circle_graph``; ``complete`` and
 ``empty`` are the two extreme graphs for the exact solvers.
+``pairwise_proper`` and ``relabel_by_degree`` check a coloring and
+renumber a graph one vertex pair at a time, against the solvers'
+bit-parallel ``_proper`` and ``_by_degree``.
 """
 
 from distcolor.colorings import Circle
@@ -37,3 +40,27 @@ def complete(m: int) -> AdjacencyMatrix:
 def empty(m: int) -> AdjacencyMatrix:
     """m vertices and no edge."""
     return AdjacencyMatrix(m, (0,) * m)
+
+
+def pairwise_proper(g: AdjacencyMatrix, assign: list[int], k: int) -> bool:
+    """A color in 0..k-1 per vertex, and different colors at the ends of every edge."""
+    if len(assign) != g.order or any(not 0 <= c < k for c in assign):
+        return False
+    pairs = ((v, w) for v in range(g.order) for w in range(v + 1, g.order) if g.rows[v] >> w & 1)
+    return all(assign[v] != assign[w] for v, w in pairs)
+
+
+def relabel_by_degree(rows: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(label, pos, rows) renumbered by descending degree, ties to the lower vertex.
+
+    New vertex i is old vertex label[i], and old vertex v is new vertex pos[v].
+    """
+    n = len(rows)
+    label = sorted(range(n), key=lambda v: (-bin(rows[v]).count("1"), v))
+    pos = [label.index(v) for v in range(n)]
+    new = [0] * n
+    for i, v in enumerate(label):
+        for w in range(n):
+            if rows[v] >> w & 1:
+                new[i] |= 1 << pos[w]
+    return label, pos, new

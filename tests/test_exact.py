@@ -8,9 +8,11 @@ against analytic certificates.
 import gc
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distcolor import cli
 from distcolor.bounds import aggregate, counting_lower_bound, independence_upper_bound
@@ -26,7 +28,8 @@ from distcolor.exact import (
     exact_independence_number,
     greedy_coloring,
 )
-from reference import complete, empty
+from reference import complete, empty, pairwise_proper, relabel_by_degree
+from test_exact_kernel import IRREGULAR
 
 
 def brute_colorable(adj, k):
@@ -493,6 +496,110 @@ def test_early_exit_rechecks_the_incumbent(monkeypatch):
     monkeypatch.setattr(exact, "_greedy_clique", lambda g: list(range(g.order + 1)))
     with pytest.raises(InternalContradiction, match="lower bound 5 exceeds a proper 4-coloring"):
         exact_chromatic_number(complete(4))
+
+
+@st.composite
+def colored_graphs(draw):
+    # any symmetric graph on up to 12 vertices, regular or not, with k from
+    # 1 and colors that mostly lie in 0..k-1 but may be negative or >= k
+    n = draw(st.integers(0, 12))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    rows = [0] * n
+    for (v, w), edge in zip(pairs, edges):
+        if edge:
+            rows[v] |= 1 << w
+            rows[w] |= 1 << v
+    k = draw(st.integers(1, 5))
+    colors = st.integers(0, k - 1) | st.integers(-2, k + 2)
+    return AdjacencyMatrix(n, tuple(rows)), draw(st.lists(colors, min_size=n, max_size=n)), k
+
+
+@settings(max_examples=400, deadline=None)
+@given(colored_graphs())
+@example((complete(3), [0, 1, 2], 1))  # colors >= k
+@example((complete(2), [0, 0], 1))  # k = 1 on an edge
+@example((empty(3), [0, 0, 0], 1))  # k = 1 with no edge
+@example((empty(2), [0, -1], 2))  # a negative color
+def test_proper_matches_pairwise_reference(case):
+    g, assign, k = case
+    assert exact._proper(g, assign, k) == pairwise_proper(g, assign, k)
+
+
+def test_proper_matches_pairwise_reference_on_irregular_graphs():
+    rng = random.Random(24)
+    for name, g in IRREGULAR.items():
+        greedy = exact._dsatur_assignment(g)
+        k = max(greedy) + 1
+        assert exact._proper(g, greedy, k) and pairwise_proper(g, greedy, k), name
+        assert not exact._proper(g, greedy, k - 1), name
+        assert not exact._proper(g, greedy[:-1], k), name  # one vertex short
+        for _ in range(50):
+            assign = [rng.randrange(k) for _ in range(g.order)]
+            assert exact._proper(g, assign, k) == pairwise_proper(g, assign, k), name
+
+
+def complement_rows(g):
+    full = (1 << g.order) - 1
+    return [~row & full ^ 1 << v for v, row in enumerate(g.rows)]
+
+
+def test_by_degree_is_the_identity_on_specs():
+    # every G(n, r, s) is regular, and so is its complement: the order by
+    # descending degree is the identity and the rows come back as they
+    # are. r <= n / 2 covers every spec up to canonical's isomorphism
+    cases = 0
+    for n in range(2, 121):
+        for r in range(1, n // 2 + 1):
+            if math.comb(n, r) > 120:
+                break
+            for s in range(r):
+                g = from_spec(n, r, s)
+                for rows in (list(g.rows), complement_rows(g)):
+                    label, pos, got = exact._by_degree(rows)
+                    assert list(label) == list(pos) == list(range(g.order)), (n, r, s)
+                    assert got == rows, (n, r, s)
+                cases += 1
+    assert cases == 164
+
+
+def test_by_degree_matches_bit_by_bit_relabel_on_irregular_graphs():
+    for name, g in IRREGULAR.items():
+        for rows in (list(g.rows), complement_rows(g)):
+            label, pos, got = exact._by_degree(rows)
+            assert (list(label), list(pos), got) == relabel_by_degree(rows), name
+            assert list(label) != list(range(g.order)), name
+
+
+def test_regular_solves_never_relabel(capsys, monkeypatch):
+    def refuse(mask, pos):
+        raise AssertionError("a regular graph was relabeled")
+
+    monkeypatch.setattr(exact, "_relabel", refuse)
+    assert cli.main(["exact", "chi", "-n", "11", "-r", "2", "-s", "0", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "chi(G(11, 2, 0)) = 9\n"
+    assert cli.main(["exact", "alpha", "-n", "10", "-r", "4", "-s", "2", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "alpha(G(10, 4, 2)) = 12\n"
+
+
+def test_sets_are_checked_once_per_solve(monkeypatch):
+    # exact chi hands its alpha probe the checked root orbits, not the sets
+    calls = dict.fromkeys(["_check_sets", "_alpha"], 0)
+    for name in calls:
+
+        def counted(*args, name=name, call=getattr(exact, name)):
+            calls[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(exact, name, counted)
+    for spec, chi, alpha in [(GraphSpec(11, 2, 0), 9, 10), (GraphSpec(9, 3, 2), 7, 12)]:
+        g = AdjacencyMatrix.from_graph_spec(spec)
+        sets = masks(vertices(spec))
+        assert exact_chromatic_number(g, sets=sets) == chi
+        assert calls == {"_check_sets": 1, "_alpha": 1}, spec  # the probe ran, on the one check
+        assert exact_independence_number(g, sets=sets) == alpha
+        assert calls == {"_check_sets": 2, "_alpha": 2}, spec
+        calls.update(dict.fromkeys(calls, 0))
 
 
 def masks(verts):
