@@ -31,15 +31,10 @@ from .colorings import (
     color_theorem1,
     verify_proper,
 )
-from .distgraph import GraphSpec, canonical, vertex_masks
+from .distgraph import GraphSpec, canonical, capped_vertex_count
 from .errors import BadInput, Error, TooLarge
-from .exact import (
-    AdjacencyMatrix,
-    Exhausted,
-    SolveLimits,
-    exact_chromatic_number,
-    exact_independence_number,
-)
+from .exact import ALPHA_MAX_VERTICES, Exhausted, SolveLimits
+from .exact import exact_chromatic_number, exact_independence_number
 from .gf import bose_chowla_set
 # primes_in_class is unused here; perfbench/spans.py rebinds it when it traces a run.
 from .numtheory import check_t1_condition, orders_of_two, primes_in_class
@@ -180,7 +175,7 @@ def _read_certificate(path: str) -> Coloring:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # invalid JSON or invalid UTF-8
+        except (ValueError, RecursionError) as exc:  # invalid JSON, invalid UTF-8 or nesting too deep
             raise BadInput(f"{path} is not a JSON certificate: {exc}") from None
     if not isinstance(data, dict) or any(key not in data for key in keys):
         raise BadInput(f"a certificate needs the keys {', '.join(keys)}")
@@ -243,15 +238,14 @@ def cmd_exact(args: argparse.Namespace) -> int:
     limits = SolveLimits(args.max_nodes, args.time_budget)
     # an isomorphic spec; chi and alpha, the only things reported, agree
     spec = canonical(spec)
-    graph = AdjacencyMatrix.from_graph_spec(spec)
-    # every permutation of the ground set is an automorphism; both solvers check the sets
-    sets = vertex_masks(spec)
     if args.which == "chi":
+        # from_graph_spec's refusal of an oversized graph, made before a seed is built for it
+        capped_vertex_count(spec, ALPHA_MAX_VERTICES, "matrix")
         seed = best_construction(spec)
         labels = None if seed is None else seed.labels
-        result = exact_chromatic_number(graph, limits, labels, sets)
+        result = exact_chromatic_number(spec, limits, labels)
     else:
-        result = exact_independence_number(graph, limits, sets)
+        result = exact_independence_number(spec, limits)
     payload: dict = {"which": args.which, "n": args.n, "r": args.r, "s": args.s}
     if isinstance(result, Exhausted):
         payload["exhausted"] = {"lower": result.lower, "upper": result.upper}

@@ -7,7 +7,6 @@ deterministic, and respect node/time budgets: hitting a budget yields an
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Generator, Iterator, Sequence
@@ -177,20 +176,20 @@ def _increment(planes: list[int], mask: int) -> list[int]:
     return planes
 
 
-def _dsatur_assignment(g: AdjacencyMatrix) -> list[int]:
+def _dsatur_assignment(label: Sequence[int], rows: Sequence[int]) -> list[int]:
     """Greedy coloring in saturation-degree order; returns color per vertex.
 
-    The pick is the one exact_chromatic_number branches on: highest
-    saturation, then highest degree, then lowest vertex.
+    label and rows come from _by_degree, so the pick is the one
+    exact_chromatic_number branches on: highest saturation, then highest
+    degree, then lowest vertex. Colors are in the original labels.
     """
-    label, _, rows = _by_degree(g.rows)
-    colors = [0] * g.order
+    colors = [0] * len(rows)
     # forbid[c]: the vertices with a neighbor colored c; the last mask
     # stays empty, so the search for a free color always ends
     forbid = [0]
     # a saturation never exceeds the degree
     planes = [0] * max(map(int.bit_count, rows), default=0).bit_length()
-    uncolored = (1 << g.order) - 1
+    uncolored = (1 << len(rows)) - 1
     while uncolored:
         low = _pick(uncolored, planes)
         uncolored ^= low
@@ -208,7 +207,8 @@ def greedy_coloring(g: AdjacencyMatrix) -> int:
     """Number of colors the saturation-degree greedy uses; bounds chi above."""
     if g.order == 0:
         return 0
-    return max(_dsatur_assignment(g)) + 1
+    label, _, rows = _by_degree(g.rows)
+    return max(_dsatur_assignment(label, rows)) + 1
 
 
 def _greedy_clique(g: AdjacencyMatrix) -> list[int]:
@@ -224,11 +224,24 @@ def _greedy_clique(g: AdjacencyMatrix) -> list[int]:
     return clique
 
 
+def _root_orbits(spec: GraphSpec, sets: Sequence[int]) -> list[int]:
+    """Vertex 0's non-neighbors other than itself, by t = |sets[v] ∩ sets[0]|.
+
+    One mask per t with t != s and t < r that is nonempty, in ascending t;
+    sets are the vertex masks of spec. The permutations of the ground set
+    that fix sets[0] carry any r-set onto any other that meets it as often,
+    so these are the orbits of vertex 0's stabilizer on its non-neighbors.
+    """
+    by_meet = [0] * (spec.r + 1)  # t = r is vertex 0 alone: the sets are distinct
+    for v, m in enumerate(sets):
+        by_meet[(m & sets[0]).bit_count()] |= 1 << v
+    return [orbit for t, orbit in enumerate(by_meet[:-1]) if t != spec.s and orbit]
+
+
 def exact_chromatic_number(
-    g: AdjacencyMatrix,
+    g: AdjacencyMatrix | GraphSpec,
     limits: SolveLimits = SolveLimits(),
     initial: Sequence[int] | None = None,
-    sets: Sequence[int] | None = None,
 ) -> int | Exhausted:
     """Exact chi(g) by DSATUR branch and bound.
 
@@ -243,31 +256,34 @@ def exact_chromatic_number(
     the DSATUR incumbent when k is smaller; it only ever lowers the upper
     side. BadInput when its length is wrong or it is not proper.
 
-    ``sets``, the element bitmask of each vertex, states that g is
-    G(m, r, s) up to the choice of s: it is checked (BadInput otherwise)
-    to be all C(m, r) distinct r-subsets of {0, ..., m-1}, with adjacency
-    a function of |a ∩ b| alone, so every permutation of the ground set is
-    an automorphism. They are checked once, and the alpha probe gets their
-    root orbits; see exact_independence_number. A second search, the ascent
-    (_ascent), then decides k-colorability for k = lb, lb + 1, ... one
-    color class at a time under that symmetry. It runs 256 of its own
-    nodes at each of DSATUR's clock polls; each refuted k raises the lower
-    bound, and a k-coloring it finds becomes the incumbent once every
-    smaller k is refuted. DSATUR's tree is unchanged and ends as soon as
-    the bounds meet. Each search counts its own nodes against
-    ``limits.max_nodes``; the deadline is shared. Without ``sets`` the
-    search is DSATUR alone.
+    A GraphSpec g is solved on AdjacencyMatrix.from_graph_spec(g), whose
+    vertices are the r-sets in rank order (vertex_masks), and every
+    permutation of the ground set is an automorphism of that graph. The
+    alpha probe then gets vertex 0's root orbits (_root_orbits; see
+    exact_independence_number), and a second search, the ascent (_ascent),
+    decides k-colorability for k = lb, lb + 1, ... one color class at a
+    time under that symmetry. It runs 256 of its own nodes at each of
+    DSATUR's clock polls; each refuted k raises the lower bound, and a
+    k-coloring it finds becomes the incumbent once every smaller k is
+    refuted. DSATUR's tree is unchanged and ends as soon as the bounds
+    meet. Each search counts its own nodes against ``limits.max_nodes``;
+    the deadline is shared. An AdjacencyMatrix g gets DSATUR alone.
     """
+    spec, g = (g, AdjacencyMatrix.from_graph_spec(g)) if isinstance(g, GraphSpec) else (None, g)
     if g.order > CHI_MAX_VERTICES:
         raise TooLarge(f"{g.order} vertices exceeds the chi solver cap {CHI_MAX_VERTICES}")
     n = g.order
     if n == 0:
         return 0
-    orbits = None if sets is None else _check_sets(g, sets)
+    sets = None if spec is None else vertex_masks(spec)
     deadline = time.monotonic() + limits.time_budget
     clique = _greedy_clique(g)
     lb = len(clique)
-    greedy = _dsatur_assignment(g)
+    # the masks use _by_degree labels, where the lowest set bit is the
+    # DSATUR tie-break: highest degree, then lowest vertex; colors keeps
+    # the caller's labels
+    label, pos, rows = _by_degree(g.rows)
+    greedy = _dsatur_assignment(label, rows)
     best = max(greedy) + 1
     best_assign = greedy[:]
     if initial is not None:
@@ -280,16 +296,12 @@ def exact_chromatic_number(
     alpha = n  # bounds every color class until the probe proves better
     if lb < best:
         probe = SolveLimits(max_nodes=200_000, time_budget=limits.time_budget)
-        probed = _alpha(g, probe, orbits)
+        probed = _alpha(g, probe, None if sets is None else _root_orbits(spec, sets))
         if not isinstance(probed, Exhausted):
             alpha = probed
             lb = max(lb, -(-n // alpha))
     hit = False
     if lb < best:  # else the bounds already meet: no search
-        # the masks use _by_degree labels, where the lowest set bit is the
-        # DSATUR tie-break: highest degree, then lowest vertex; colors keeps
-        # the caller's labels
-        label, pos, rows = _by_degree(g.rows)
         colors = [0] * n
         forbid = [0] * (best - 1)  # forbid[c]: the vertices with a neighbor colored c
         # planes[i] holds bit i of every vertex's saturation, the number of
@@ -376,10 +388,11 @@ def _ascent(
     excluded vertex has no neighbor in it is not maximal.
 
     The group is the product of Sym(cell) over a partition of the ground
-    set; the checked sets make each of its members an automorphism. Elements a and b
-    share a cell iff the transposition (a b) maps every closed class onto
-    itself; that is an equivalence, so each closing class only splits
-    the cells before it, one representative per part. Each vertex added
+    set; sets are a spec's vertex masks and rows its graph, so each of its
+    members is an automorphism. Elements a and b share a cell iff the
+    transposition (a b) maps every closed class onto itself; that is an
+    equivalence, so each closing class only splits the cells before it,
+    one representative per part. Each vertex added
     to the open class splits them by its set. So the group fixes the
     closed classes, the open class and, since it only shrinks, every
     excluded orbit: the candidates are fixed, and an automorphism moves
@@ -518,48 +531,9 @@ def _relabel(mask: int, pos: Sequence[int]) -> int:
     return sum(1 << pos[w] for w in _bits(mask))
 
 
-def _check_sets(g: AdjacencyMatrix, sets: Sequence[int]) -> list[int]:
-    """Vertex 0's root orbits; BadInput unless ground-set permutations are automorphisms.
-
-    The sets must be all C(m, r) r-subsets of {0..m-1}, and adjacency a
-    function of |a ∩ b|: each vertex v's classes "t elements of sets[v]",
-    from _meets, must each lie all inside or all outside row v, with one
-    relation t -> edge shared by every vertex. The orbits are vertex 0's
-    classes with no edge, t < r and nonempty, in ascending t.
-    """
-    if len(sets) != g.order:
-        raise BadInput(f"{len(sets)} sets for {g.order} vertices")
-    ground = 0
-    for m in sets:
-        if m < 0:
-            raise BadInput("a set must be a nonnegative bitmask")
-        ground |= m
-    r = sets[0].bit_count()
-    if ground & (ground + 1) or len(set(sets)) != len(sets) or any(m.bit_count() != r for m in sets):
-        raise BadInput("sets must be distinct r-subsets of {0, ..., m-1}")
-    if math.comb(ground.bit_length(), r) != len(sets):
-        raise BadInput(f"sets must hold all C({ground.bit_length()}, {r}) r-subsets")
-    holds, full = _holds(sets), (1 << g.order) - 1
-    relation: dict[int, bool] = {}
-    orbits: list[int] = []
-    for v, (a, row) in enumerate(zip(sets, g.rows)):
-        at = _meets(holds, a, full)
-        for t in range(r):  # t = r is v alone: the sets are distinct
-            cls = at[t] & ~at[t + 1]
-            if not cls:
-                continue
-            edge = row & cls == cls
-            if row & cls not in (0, cls) or relation.setdefault(t, edge) != edge:
-                raise BadInput("adjacency must depend only on the size of the intersection")
-            if v == 0 and not edge:
-                orbits.append(cls)
-    return orbits
-
-
 def exact_independence_number(
-    g: AdjacencyMatrix,
+    g: AdjacencyMatrix | GraphSpec,
     limits: SolveLimits = SolveLimits(),
-    sets: Sequence[int] | None = None,
 ) -> int | Exhausted:
     """Exact alpha(g) as a maximum clique search on the complement.
 
@@ -567,12 +541,12 @@ def exact_independence_number(
     complement subgraph), the standard bitset scheme. The certificate set
     is kept and re-checked before returning.
 
-    ``sets``, the element bitmask of each vertex, is checked as in
-    exact_chromatic_number (BadInput otherwise), so every permutation of
-    the ground set is an automorphism: g is vertex-transitive, and the
-    permutations fixing vertex 0's set A carry any r-set onto any other
-    that meets A as often. The root orbits are therefore vertex 0's
-    non-neighbors, grouped by |sets[v] ∩ A| (_check_sets). The search
+    A GraphSpec g is solved on AdjacencyMatrix.from_graph_spec(g), where
+    every permutation of the ground set is an automorphism: the graph is
+    vertex-transitive, and the permutations fixing vertex 0's set A carry
+    any r-set onto any other that meets A as often. The root orbits are
+    therefore vertex 0's non-neighbors, grouped by |a ∩ A| (_root_orbits),
+    and an AdjacencyMatrix g gets the plain search. The search
     then fixes vertex 0 at depth 1 and, at depth 2, branches once per
     orbit on its lowest member and drops the whole orbit from the
     candidates before the next branch (orbital branching, Ostrowski,
@@ -585,15 +559,16 @@ def exact_independence_number(
     avoids the orbits before O: the branch on O finds it. When |I| = 1,
     the greedy incumbent already has size 1.
     """
+    spec, g = (g, AdjacencyMatrix.from_graph_spec(g)) if isinstance(g, GraphSpec) else (None, g)
     if g.order > ALPHA_MAX_VERTICES:
         raise TooLarge(f"{g.order} vertices exceeds the alpha solver cap {ALPHA_MAX_VERTICES}")
     if g.order == 0:
         return 0
-    return _alpha(g, limits, None if sets is None else _check_sets(g, sets))
+    return _alpha(g, limits, None if spec is None else _root_orbits(spec, vertex_masks(spec)))
 
 
 def _alpha(g: AdjacencyMatrix, limits: SolveLimits, orbits: list[int] | None) -> int | Exhausted:
-    """exact_independence_number on a checked g of order 1 or more; orbits from _check_sets."""
+    """exact_independence_number on a checked g of order 1 or more; orbits from _root_orbits."""
     n = g.order
     full = (1 << n) - 1
     # clique search on the complement; relabel by descending complement

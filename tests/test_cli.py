@@ -133,6 +133,9 @@ MALFORMED = {
     "float-n": json.dumps({**CERT, "n": 4.0}),
     "boolean-labels": json.dumps({**CERT, "labels": [True] * 6}),
     "not-an-object": json.dumps([CERT]),
+    # json.load raises RecursionError, not ValueError, past its nesting limit
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    "deep-labels": json.dumps(CERT).replace("[0, 1, 2, 2, 3, 0]", "[" * 100_000 + "]" * 100_000),
 }
 
 
@@ -312,6 +315,14 @@ PINNED_STDOUT = [
      "a4a4e63f7e4d4b45dc847fa3870091a5d7096486a018994d8e8da9c1aa30469b"),
     (("bounds", "-n", "9", "-r", "3", "-s", "2"),
      "5f3a03de13d2c7b5efaf5ba7ec01531460d9367b34044d2100b5c8439021b0df"),
+    (("exact", "chi", "-n", "11", "-r", "2", "-s", "0"),
+     "78d27cd3f3bfec166a5ec8944d986ed6816964c599e05ab2c6f95bdd568bcec1"),
+    (("exact", "chi", "-n", "9", "-r", "3", "-s", "2"),
+     "82a823bac3ab39b3948ce52ec75130c3da53b334b04ab177e0a45a909d35aa29"),
+    (("exact", "alpha", "-n", "9", "-r", "3", "-s", "2"),
+     "038433aef77a4223cd3422038ae7541833fb92d50a8d998bbe735ec04a7ccfce"),
+    (("exact", "alpha", "-n", "10", "-r", "4", "-s", "2"),
+     "3455593f63ecff8f2b8a5e5487df76106fe139b86b4838da92f8c2d696e84d7a"),
 ]
 PINNED_IDS = ["bhset", "scan-condition", "scan-condition-1e6"]
 PINNED_IDS += ["circles-7", "circles-23", "circles-199"]
@@ -319,6 +330,7 @@ PINNED_IDS += ["theorem1-9", "theorem1-33", "theorem1-49"]
 PINNED_IDS += ["sum-13-4", "bose-chowla-17-4-2", "symmetric-13-4-2", "sum-11-8"]
 PINNED_IDS += ["bounds-30-3-1", "exact-chi-9-2-1"]
 PINNED_IDS += ["table-200", "bounds-9-3-2"]
+PINNED_IDS += ["exact-chi-11-2-0", "exact-chi-9-3-2", "exact-alpha-9-3-2", "exact-alpha-10-4-2"]
 
 
 JSON_LEAVES = (

@@ -399,9 +399,9 @@ def test_unseeded_node_counts_pinned():
 
 
 def test_solve_workload_node_count_pinned():
-    # the library path without sets, so DSATUR alone: exact chi -n 11 -r 2 -s 0
+    # the library path on a matrix, so DSATUR alone: exact chi -n 11 -r 2 -s 0
     # has no construction seed, and the search refutes 8-colorings in 218,131
-    # nodes (the CLI, which passes sets, stops at 7,680; see
+    # nodes (the CLI, which passes the spec, stops at 7,680; see
     # test_ascent_node_counts_pinned). Before the walk pruned branches
     # that use as many colors as the live incumbent it took 224,186, the
     # count of both the per-neighbor search and the bit-parallel kernel
@@ -417,7 +417,7 @@ def test_root_orbit_search_matches_plain_search(monkeypatch):
     # the window of test_from_graph_spec_matches_edge_stream; the chi
     # searches share a node budget, and their alpha probes set the lower
     # side, so a probe that differs shows as a different result. The
-    # ascent is switched off, so sets reach chi only through its probe
+    # ascent is switched off, so the spec's symmetry reaches chi only through its probe
     monkeypatch.setattr(exact, "_ascent", lambda *args: iter(()))
     limits = SolveLimits(max_nodes=1000, time_budget=1e9)
     cases = 0
@@ -428,11 +428,10 @@ def test_root_orbit_search_matches_plain_search(monkeypatch):
             for s in range(r):
                 spec = GraphSpec(n, r, s)
                 g = AdjacencyMatrix.from_graph_spec(spec)
-                sets = masks(vertices(spec))
                 alpha = exact_independence_number(g)
-                assert exact_independence_number(g, sets=sets) == alpha, spec
+                assert exact_independence_number(spec) == alpha, spec
                 chi = exact_chromatic_number(g, limits)
-                assert exact_chromatic_number(g, limits, sets=sets) == chi, spec
+                assert exact_chromatic_number(spec, limits) == chi, spec
                 cases += 1
     assert cases == 322
 
@@ -442,17 +441,16 @@ def test_root_orbits_cut_the_alpha_search():
     # 306, and 712 when it keeps each orbit after branching on it
     spec = GraphSpec(10, 4, 2)
     g = AdjacencyMatrix.from_graph_spec(spec)
-    sets = masks(vertices(spec))
     limits = lambda nodes: SolveLimits(max_nodes=nodes, time_budget=1e9)  # noqa: E731
     assert isinstance(exact_independence_number(g, limits(500)), Exhausted)
-    assert exact_independence_number(g, limits(305), sets) == Exhausted(lower=12)
-    assert exact_independence_number(g, limits(306), sets) == 12
+    assert exact_independence_number(spec, limits(305)) == Exhausted(lower=12)
+    assert exact_independence_number(spec, limits(306)) == 12
 
 
 def test_root_orbits_are_the_stabilizer_orbits():
     # brute force: apply every permutation of the ground set that fixes
     # vertex 0 = {0, ..., r - 1} to each of its non-neighbors; the solver
-    # derives its root orbits from the checked sets
+    # derives its root orbits from the spec's vertex masks
     for n in range(1, 7):
         for r in range(1, n + 1):
             for s in range(r):
@@ -466,7 +464,7 @@ def test_root_orbits_are_the_stabilizer_orbits():
                     for v in verts[1:]
                     if len(root & set(v)) != s
                 }
-                got = exact._check_sets(AdjacencyMatrix.from_graph_spec(spec), masks(verts))
+                got = exact._root_orbits(spec, masks(verts))
                 assert sorted(got) == sorted(orbits), spec
                 meet = [len(root & set(verts[(m & -m).bit_length() - 1])) for m in got]
                 assert meet == sorted(set(meet)), spec  # ascending t
@@ -486,10 +484,10 @@ def test_early_exit_rechecks_the_incumbent(monkeypatch):
     # when the bounds meet before any search, the answer still passes the
     # one exit: an improper incumbent or a lower bound above it is caught
     cycle5 = AdjacencyMatrix(5, tuple(1 << (v + 1) % 5 | 1 << (v - 1) % 5 for v in range(5)))
-    monkeypatch.setattr(exact, "_dsatur_assignment", lambda g: [v % 3 for v in range(g.order)])
+    monkeypatch.setattr(exact, "_dsatur_assignment", lambda label, rows: [v % 3 for v in range(len(rows))])
     with pytest.raises(InternalContradiction, match="not a proper 3-coloring"):
         exact_chromatic_number(complete(4))  # clique 4, incumbent 3
-    monkeypatch.setattr(exact, "_dsatur_assignment", lambda g: [v % 2 for v in range(g.order)])
+    monkeypatch.setattr(exact, "_dsatur_assignment", lambda label, rows: [v % 2 for v in range(len(rows))])
     with pytest.raises(InternalContradiction, match="not a proper 2-coloring"):
         exact_chromatic_number(cycle5)  # ceil(5 / 2) = 3, incumbent 2
     monkeypatch.undo()
@@ -529,7 +527,8 @@ def test_proper_matches_pairwise_reference(case):
 def test_proper_matches_pairwise_reference_on_irregular_graphs():
     rng = random.Random(24)
     for name, g in IRREGULAR.items():
-        greedy = exact._dsatur_assignment(g)
+        label, _, rows = exact._by_degree(g.rows)
+        greedy = exact._dsatur_assignment(label, rows)
         k = max(greedy) + 1
         assert exact._proper(g, greedy, k) and pairwise_proper(g, greedy, k), name
         assert not exact._proper(g, greedy, k - 1), name
@@ -582,23 +581,27 @@ def test_regular_solves_never_relabel(capsys, monkeypatch):
     assert capsys.readouterr().out == "alpha(G(10, 4, 2)) = 12\n"
 
 
-def test_sets_are_checked_once_per_solve(monkeypatch):
-    # exact chi hands its alpha probe the checked root orbits, not the sets
-    calls = dict.fromkeys(["_check_sets", "_alpha"], 0)
-    for name in calls:
+def test_spec_solves_build_one_matrix(monkeypatch):
+    # a solve on a spec builds its rows once, and exact chi hands its alpha
+    # probe the root orbits of that one build
+    calls = dict.fromkeys(["from_graph_spec", "_alpha"], 0)
+    build, search = AdjacencyMatrix.from_graph_spec, exact._alpha
 
-        def counted(*args, name=name, call=getattr(exact, name)):
-            calls[name] += 1
-            return call(*args)
+    def counted_build(spec):
+        calls["from_graph_spec"] += 1
+        return build(spec)
 
-        monkeypatch.setattr(exact, name, counted)
+    def counted_search(*args):
+        calls["_alpha"] += 1
+        return search(*args)
+
+    monkeypatch.setattr(AdjacencyMatrix, "from_graph_spec", staticmethod(counted_build))
+    monkeypatch.setattr(exact, "_alpha", counted_search)
     for spec, chi, alpha in [(GraphSpec(11, 2, 0), 9, 10), (GraphSpec(9, 3, 2), 7, 12)]:
-        g = AdjacencyMatrix.from_graph_spec(spec)
-        sets = masks(vertices(spec))
-        assert exact_chromatic_number(g, sets=sets) == chi
-        assert calls == {"_check_sets": 1, "_alpha": 1}, spec  # the probe ran, on the one check
-        assert exact_independence_number(g, sets=sets) == alpha
-        assert calls == {"_check_sets": 2, "_alpha": 2}, spec
+        assert exact_chromatic_number(spec) == chi
+        assert calls == {"from_graph_spec": 1, "_alpha": 1}, spec  # the probe ran, on the one build
+        assert exact_independence_number(spec) == alpha
+        assert calls == {"from_graph_spec": 2, "_alpha": 2}, spec
         calls.update(dict.fromkeys(calls, 0))
 
 
@@ -657,7 +660,7 @@ def test_ascent_meets_lovasz():
 
 def test_ascent_agrees_with_plain_search():
     # the window of test_root_orbit_search_matches_plain_search at one node
-    # budget: with sets the interval lies inside the plain one, and where
+    # budget: on the spec the interval lies inside the plain one, and where
     # both resolve they agree. 11 intervals narrow, among them G(8, 3, 2),
     # G(9, 3, 2), G(9, 6, 5) and G(10, 2, 0), which resolve
     limits = SolveLimits(max_nodes=3000, time_budget=1e9)
@@ -670,7 +673,7 @@ def test_ascent_agrees_with_plain_search():
                 spec = GraphSpec(n, r, s)
                 g = AdjacencyMatrix.from_graph_spec(spec)
                 plain = exact_chromatic_number(g, limits)
-                symmetric = exact_chromatic_number(g, limits, None, masks(vertices(spec)))
+                symmetric = exact_chromatic_number(spec, limits)
                 lo, hi = (plain, plain) if isinstance(plain, int) else (plain.lower, plain.upper)
                 if isinstance(symmetric, int):
                     assert lo <= symmetric <= hi, spec
@@ -688,11 +691,9 @@ def test_ascent_node_counts_pinned():
     # needs 218,131, stops at its poll at 7,680, when the bounds meet
     spec = GraphSpec(11, 2, 0)
     assert ascend(spec, 6, 10**6)[2] == {6: 62, 7: 1038, 8: 7006}
-    g = AdjacencyMatrix.from_graph_spec(spec)
-    sets = masks(vertices(spec))
     limits = lambda nodes: SolveLimits(max_nodes=nodes, time_budget=1e9)  # noqa: E731
-    assert exact_chromatic_number(g, limits(7679), None, sets) == Exhausted(lower=8, upper=9)
-    assert exact_chromatic_number(g, limits(7680), None, sets) == 9
+    assert exact_chromatic_number(spec, limits(7679)) == Exhausted(lower=8, upper=9)
+    assert exact_chromatic_number(spec, limits(7680)) == 9
 
 
 def cyclic_garbage(call):
@@ -711,16 +712,14 @@ def test_solver_calls_leave_no_cyclic_garbage(capsys):
     # every return path unbinds them, so a finished call's rows, sets and
     # tables go at once instead of at the next full collection
     spec = GraphSpec(11, 2, 0)
-    g = AdjacencyMatrix.from_graph_spec(spec)
-    sets = masks(vertices(spec))
     budget = SolveLimits(max_nodes=1000, time_budget=1e9)
     small = AdjacencyMatrix.from_graph_spec(GraphSpec(8, 2, 0))  # searched, not settled by its bounds
     calls = {
-        "chi with sets": lambda: exact_chromatic_number(g, SolveLimits(), None, sets),
-        "chi on a budget": lambda: exact_chromatic_number(g, budget, None, sets),
+        "chi on a spec": lambda: exact_chromatic_number(spec),
+        "chi on a budget": lambda: exact_chromatic_number(spec, budget),
         "chi, DSATUR alone": lambda: exact_chromatic_number(small),
-        "alpha with sets": lambda: exact_independence_number(g, SolveLimits(), sets),
-        "alpha on a budget": lambda: exact_independence_number(g, SolveLimits(max_nodes=3), sets),
+        "alpha on a spec": lambda: exact_independence_number(spec),
+        "alpha on a budget": lambda: exact_independence_number(spec, SolveLimits(max_nodes=3)),
         "ascent to a coloring": lambda: ascend(GraphSpec(7, 2, 0), 3, 10**6),
         "theorem1 and verify": lambda: verify_proper(GraphSpec(9, 3, 2), color_theorem1(9)),
     }
@@ -741,58 +740,3 @@ def test_solver_calls_leave_no_cyclic_garbage(capsys):
 def test_cli_kneser_chi_is_lovasz(capsys, n):
     assert cli.main(["exact", "chi", "-n", str(n), "-r", "2", "-s", "0", "--format", "text"]) == 0
     assert capsys.readouterr().out == f"chi(G({n}, 2, 0)) = {n - 2}\n"
-
-
-SPEC_731 = GraphSpec(7, 3, 1)
-VERTS_731 = vertices(SPEC_731)
-BAD_SETS = {
-    "wrong length": VERTS_731[:-1],
-    "duplicate": VERTS_731[:-1] + [VERTS_731[0]],
-    "mixed sizes": VERTS_731[:-1] + [(4, 5)],
-    "one r-subset missing": VERTS_731[:-1] + [(4, 5, 7)],
-    # the r-sets of G(7, 3, 1) in the rank order of G(7, 4, 2), its complement spec
-    "rows of another labeling": [tuple(sorted({*range(7)} - {*v})) for v in vertices(GraphSpec(7, 4, 2))],
-}
-
-
-@pytest.mark.parametrize("name", BAD_SETS)
-def test_sets_rejected(capsys, monkeypatch, name):
-    g = AdjacencyMatrix.from_graph_spec(SPEC_731)
-    with pytest.raises(BadInput):
-        exact_chromatic_number(g, sets=masks(BAD_SETS[name]))
-    with pytest.raises(BadInput):
-        exact_independence_number(g, sets=masks(BAD_SETS[name]))
-    monkeypatch.setattr(cli, "vertex_masks", lambda spec: masks(BAD_SETS[name]))
-    for which in ("chi", "alpha"):
-        assert cli.main(["exact", which, "-n", "7", "-r", "3", "-s", "1"]) == 9, which
-        assert capsys.readouterr().out == "", which
-
-
-def test_sets_reject_every_flipped_edge():
-    # one symmetric pair v-w of G(7, 3, 1), both away from vertex 0, flipped
-    # between edge and non-edge: C(34, 2) = 561 graphs, none of them a
-    # function of |a ∩ b|, and both solvers refuse every one
-    g = AdjacencyMatrix.from_graph_spec(SPEC_731)
-    sets = masks(VERTS_731)
-    flips = 0
-    for v in range(1, g.order):
-        for w in range(v + 1, g.order):
-            rows = list(g.rows)
-            rows[v] ^= 1 << w
-            rows[w] ^= 1 << v
-            bad = AdjacencyMatrix(g.order, tuple(rows))
-            with pytest.raises(BadInput):
-                exact_chromatic_number(bad, sets=sets)
-            with pytest.raises(BadInput):
-                exact_independence_number(bad, sets=sets)
-            flips += 1
-    assert flips == 561
-
-
-def test_sets_only_fix_the_relation_up_to_its_size():
-    # G(7, 3, 2) has the r-sets of G(7, 3, 1) in the same order, and its
-    # adjacency, |a ∩ b| = 2, is a function of the intersection size too
-    g = from_spec(7, 3, 2)
-    assert exact_chromatic_number(g, sets=masks(VERTS_731)) == 6
-    with pytest.raises(BadInput):
-        exact_chromatic_number(g, sets=[-1] + masks(VERTS_731)[1:])
