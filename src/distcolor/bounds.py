@@ -14,9 +14,9 @@ Source tags used in reports:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._record import Record
 from .distgraph import GraphSpec
 from .errors import InternalContradiction, OutOfValidity, TooLarge
 # check_t1_condition is unused here; perfbench/spans.py rebinds it when it traces a run.
@@ -28,8 +28,7 @@ class Bound(NamedTuple):
     source: str
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Record):
     """Merged lower/upper bounds for one graph, with provenance."""
 
     spec: GraphSpec

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 from operator import add
 
+from ._record import Record
 # edges and check_t1_condition are unused here; perfbench/spans.py rebinds
 # them when it traces a run.
 from .distgraph import MAX_ENUMERATION_VERTICES, GraphSpec, RSubset, edges, is_edge, unrank
@@ -54,8 +54,7 @@ class Method(str, Enum):
     SYMMETRIC_POLY = "symmetric"
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """A total color assignment, indexed by colex vertex rank."""
 
     spec: GraphSpec
@@ -79,8 +78,7 @@ class Coloring:
         return len(set(self.labels))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """A monochromatic edge found by the verifier."""
 
     u: RSubset
@@ -88,8 +86,7 @@ class Violation:
     shared_color: int
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(Record):
     """Cyclic orbit of a point of Z_p under t -> (t + i) / 2.
 
     ``points`` starts at the smallest member and follows the map, so two
@@ -101,8 +98,7 @@ class Circle:
     points: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CircleGraph:
+class CircleGraph(Record):
     """All circles mod p, adjacent when their parameter/start pairs swap.
 
     ``circles`` is sorted by (parameter, smallest point); ``edges`` holds
@@ -114,8 +110,7 @@ class CircleGraph:
     edges: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class CircleBipartition:
+class CircleBipartition(Record):
     """A proper 2-coloring of a circle graph; ``sides[c]`` is the class of each C(i, i + c)."""
 
     p: int
@@ -374,7 +369,8 @@ def best_construction(spec: GraphSpec) -> Coloring | None:
         return None
     coloring = min(candidates, key=lambda c: c[0])[1]()
     first: dict[int, int] = {}
-    return replace(coloring, labels=tuple(first.setdefault(c, len(first)) for c in coloring.labels))
+    labels = tuple(first.setdefault(c, len(first)) for c in coloring.labels)
+    return Coloring(coloring.spec, labels, coloring.method, coloring.palette_bound)
 
 
 class _StarRuns:

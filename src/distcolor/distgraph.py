@@ -9,10 +9,10 @@ system in colexicographic order, so ranks are stable as n grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
+from ._record import Record
 from .errors import BadInput, OutOfRange, TooLarge
 
 RSubset = tuple[int, ...]
@@ -21,8 +21,7 @@ RSubset = tuple[int, ...]
 MAX_ENUMERATION_VERTICES = 10**6
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(Record):
     """The triple (n, r, s) defining a distance graph G(n, r, s)."""
 
     n: int

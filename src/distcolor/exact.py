@@ -8,9 +8,9 @@ deterministic, and respect node/time budgets: hitting a budget yields an
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Generator, Iterator, Sequence
 
+from ._record import Record
 # edges is unused here; perfbench/spans.py rebinds it when it traces a run.
 from .distgraph import GraphSpec, capped_vertex_count, edges, vertex_masks
 from .errors import BadInput, InternalContradiction, TooLarge
@@ -73,8 +73,7 @@ def _transposed(packed: int, stride: int) -> int:
     return packed
 
 
-@dataclass(frozen=True)
-class AdjacencyMatrix:
+class AdjacencyMatrix(Record):
     """Symmetric, irreflexive adjacency held as one bitmask row per vertex."""
 
     order: int
@@ -121,8 +120,7 @@ class AdjacencyMatrix:
         return cls(count, tuple(rows))
 
 
-@dataclass(frozen=True)
-class SolveLimits:
+class SolveLimits(Record):
     """Search budgets; every field must be positive (NaN is not)."""
 
     max_nodes: int = 5_000_000
@@ -133,8 +131,7 @@ class SolveLimits:
             raise BadInput("all solve limits must be positive")
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(Record):
     """Budget ran out before a proof; carries the best bounds found."""
 
     lower: int

@@ -10,11 +10,11 @@ discrete-log table is built by enumeration and serves as their oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb, isqrt
 from typing import Iterable
 
+from ._record import Record
 from .errors import BadInput, InternalContradiction, NotPrime, TooLarge
 from .numtheory import _prime_factors, is_prime
 
@@ -25,8 +25,7 @@ FieldElement = tuple[int, ...]
 FIELD_SIZE_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """GF(q^h) presented as Z_q[x] modulo a monic primitive polynomial.
 
     modulus_poly lists h + 1 coefficients in ascending degree; the class
@@ -51,8 +50,7 @@ class FieldSpec:
         return (0, 1) + (0,) * (self.h - 2)
 
 
-@dataclass(frozen=True)
-class BhSet:
+class BhSet(Record):
     """q residues mod q^h - 1 whose h-element multiset sums are distinct."""
 
     q: int

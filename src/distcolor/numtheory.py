@@ -8,18 +8,17 @@ witness set, no probabilistic error).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
+from ._record import Record
 from .errors import InvalidPrime, TooLarge
 
 # Witness set proven complete for all n < 3.3 * 10^24, far past 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """Outcome of the odd-order test for 2 modulo a prime p.
 
     condition_holds is true iff no power of 2 is congruent to -1 mod p;

@@ -5,13 +5,46 @@ coset tables behind ``colorings.circle_graph``; ``complete`` and
 ``empty`` are the two extreme graphs for the exact solvers.
 ``pairwise_proper`` and ``relabel_by_degree`` check a coloring and
 renumber a graph one vertex pair at a time, against the solvers'
-bit-parallel ``_proper`` and ``_by_degree``.
+bit-parallel ``_proper`` and ``_by_degree``. ``dataclass_twin`` gives a
+record class's frozen-dataclass twin, whose value semantics the record
+must match.
 """
 
-from distcolor.colorings import Circle
+import dataclasses
+
+from distcolor.bounds import BoundsReport
+from distcolor.colorings import Circle, CircleBipartition, CircleGraph, Coloring, Violation
+from distcolor.distgraph import GraphSpec
 from distcolor.errors import BadInput, InvalidPrime
-from distcolor.exact import AdjacencyMatrix
-from distcolor.numtheory import is_prime
+from distcolor.exact import AdjacencyMatrix, Exhausted, SolveLimits
+from distcolor.gf import BhSet, FieldSpec
+from distcolor.numtheory import ConditionReport, is_prime
+
+# each record's fields in order, a (name, default) pair where it has a default
+RECORD_FIELDS = {
+    ConditionReport: ["p", "order_of_two", "condition_holds", ("witness_r", None)],
+    GraphSpec: ["n", "r", "s"],
+    Coloring: ["spec", "labels", "method", "palette_bound"],
+    Violation: ["u", "v", "shared_color"],
+    Circle: ["parameter", "points"],
+    CircleGraph: ["p", "circles", "edges"],
+    CircleBipartition: ["p", "graph", "classes", "sides"],
+    FieldSpec: ["q", "h", "modulus_poly"],
+    BhSet: ["q", "h", "modulus", "elements"],
+    BoundsReport: ["spec", "lower", "upper", "best_lower", "best_upper", "exact"],
+    AdjacencyMatrix: ["order", "rows"],
+    SolveLimits: [("max_nodes", 5_000_000), ("time_budget", 60.0)],
+    Exhausted: ["lower", ("upper", None)],
+}
+
+
+def dataclass_twin(cls: type) -> type:
+    """A frozen dataclass with the name, fields and defaults of a record class."""
+    fields = [
+        f if isinstance(f, str) else (f[0], object, dataclasses.field(default=f[1]))
+        for f in RECORD_FIELDS[cls]
+    ]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
 
 
 def circle(p: int, i: int, j: int) -> Circle:

@@ -1,9 +1,12 @@
 """Tests for the closed-form bounds and the aggregator."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+from distcolor import bounds
 from distcolor.bounds import (
     BoundsReport,
     aggregate,
@@ -91,6 +94,17 @@ def test_aggregate_source_vocabulary():
         certified = [b.value for b in report.upper if b.source != "reference_eq2"]
         assert report.best_upper == min(certified)
         assert report.best_lower <= report.best_upper
+
+
+def test_bound_tags_need_no_csv_quoting():
+    # `table` joins the tags into CSV unquoted; every Bound that aggregate
+    # builds names its tag as a literal, so these are all the tags it can emit
+    tree = ast.parse(Path(bounds.__file__).read_text())
+    calls = [c for c in ast.walk(tree) if isinstance(c, ast.Call) and getattr(c.func, "id", "") == "Bound"]
+    assert all(isinstance(c.args[1], ast.Constant) for c in calls)
+    tags = {c.args[1].value for c in calls}
+    assert tags == SOURCES
+    assert not any(set(tag) & set(',"\r\n') for tag in tags)
 
 
 def test_aggregate_reference_listed_but_excluded():

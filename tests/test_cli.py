@@ -6,7 +6,6 @@ import io
 import json
 import time
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 from distcolor import cli, exact
 from distcolor.cli import main
+from distcolor.colorings import Coloring
 from distcolor.distgraph import GraphSpec, vertex_count, vertices
 from distcolor.gf import verify_bh
 from distcolor.numtheory import check_t1_condition, orders_of_two
@@ -114,7 +114,7 @@ def test_color_improper_construction_exits_3(capsys, monkeypatch):
 
     def constant(n, r):
         coloring = sum_coloring(n, r)
-        return replace(coloring, labels=(0,) * len(coloring.labels))
+        return Coloring(coloring.spec, (0,) * len(coloring.labels), coloring.method, coloring.palette_bound)
 
     monkeypatch.setattr(cli, "color_sum", constant)
     code, out, err = run(capsys, "color", "--method", "sum", "-n", "5", "-r", "3")
